@@ -221,7 +221,7 @@ let () =
       scenarios);
   (* dispatch is optional (only present when the dispatch microbench
      merged its sweep in); when present each point is one (mode,
-     domains) cell of the old-vs-new scheduler grid. *)
+     domains) cell of the continuous-dispatch grid. *)
   (match J.member "dispatch" experiments with
   | None -> ()
   | Some dispatch ->
@@ -243,9 +243,8 @@ let () =
             ("dispatch." ^ mode ^ ".scheduler")
             (Option.bind (J.member "scheduler" p) J.to_str)
         in
-        if scheduler <> "round" && scheduler <> "submit" then
-          fail "dispatch.%s.scheduler %S is neither round nor submit" mode
-            scheduler;
+        if scheduler <> "submit" then
+          fail "dispatch.%s.scheduler %S is not submit" mode scheduler;
         let domains =
           number ("dispatch." ^ mode ^ ".domains") (J.member "domains" p)
         in

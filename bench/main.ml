@@ -963,10 +963,12 @@ let concurrent config =
     let timer = Olar_util.Timer.start () in
     let queries = ref 0 in
     while Olar_util.Timer.elapsed_s timer < budget do
-      let out = Olar_serve.Pool.run_timed pool batch in
       Array.iter
-        (fun (_, l) -> Olar_obs.Metrics.Histogram.observe hist l)
-        out;
+        (fun req ->
+          Olar_serve.Pool.submit pool req (fun _ c ->
+              Olar_obs.Metrics.Histogram.observe hist c.Olar_serve.Pool.latency_s))
+        batch;
+      Olar_serve.Pool.drain pool;
       queries := !queries + Array.length batch
     done;
     let dt = Olar_util.Timer.elapsed_s timer in

@@ -10,6 +10,7 @@ open Olar_data
 module Engine = Olar_core.Engine
 module Lattice = Olar_core.Lattice
 module Session = Olar_serve.Session
+module Pool = Olar_serve.Pool
 module Recorder = Olar_replay.Recorder
 module Record = Olar_replay.Record
 module Replay = Olar_replay.Replay
@@ -58,33 +59,32 @@ let run_workload recorder engine db =
     in
     let minsup = levels.(Random.State.int rng (Array.length levels)) in
     let minconf = confs.(Random.State.int rng (Array.length confs)) in
-    if i = num_queries / 2 then begin
-      (* mid-stream maintenance: a tiny delta over the same universe *)
-      let rows =
-        List.init 5 (fun _ ->
-            Itemset.to_list
-              singletons.(Random.State.int rng (Array.length singletons)))
-      in
-      let delta = Database.of_lists ~num_items:(Database.num_items db) rows in
-      ignore (Recorder.append recorder delta)
-    end
-    else
-      match i mod 8 with
-      | 0 -> ignore (Recorder.itemset_ids ~containing recorder ~minsup)
-      | 1 -> ignore (Recorder.count_itemsets ~containing recorder ~minsup)
-      | 2 -> ignore (Recorder.essential_rules ~containing recorder ~minsup ~minconf)
-      | 3 -> ignore (Recorder.all_rules ~containing recorder ~minsup ~minconf)
-      | 4 ->
-        ignore (Recorder.single_consequent_rules ~containing recorder ~minsup ~minconf)
-      | 5 ->
-        ignore
-          (Recorder.support_for_k_itemsets recorder ~containing
-             ~k:(1 + Random.State.int rng 50))
-      | 6 ->
-        ignore
-          (Recorder.support_for_k_rules recorder ~involving:containing ~minconf
-             ~k:(1 + Random.State.int rng 20))
-      | _ -> ignore (Recorder.boundary recorder ~target:!deepest ~minconf)
+    let req =
+      if i = num_queries / 2 then
+        (* mid-stream maintenance: a tiny delta over the same universe *)
+        let rows =
+          List.init 5 (fun _ ->
+              Itemset.to_list
+                singletons.(Random.State.int rng (Array.length singletons)))
+        in
+        Pool.Append (Database.of_lists ~num_items:(Database.num_items db) rows)
+      else
+        let constraints = Olar_core.Boundary.unconstrained in
+        match i mod 8 with
+        | 0 -> Pool.Find_itemsets { containing; minsup }
+        | 1 -> Pool.Count_itemsets { containing; minsup }
+        | 2 -> Pool.Essential_rules { containing; constraints; minsup; minconf }
+        | 3 -> Pool.All_rules { containing; constraints; minsup; minconf }
+        | 4 -> Pool.Single_consequent_rules { containing; minsup; minconf }
+        | 5 ->
+          Pool.Support_for_k_itemsets
+            { containing; k = 1 + Random.State.int rng 50 }
+        | 6 ->
+          Pool.Support_for_k_rules
+            { involving = containing; minconf; k = 1 + Random.State.int rng 20 }
+        | _ -> Pool.Boundary { target = !deepest; constraints; minconf }
+    in
+    ignore (Recorder.exec recorder req)
   done
 
 let replay_against ~budget_bytes db records =

@@ -102,8 +102,9 @@ let cache_mb_arg =
     & info [ "cache-mb" ]
         ~doc:
           "Route the query through a session result cache with this MiB \
-           budget (see olar.serve). 0 queries the engine directly. Cache \
-           accounting is reported on stderr."
+           budget (see olar.serve). 0 disables the cache: the session passes \
+           every query straight to the engine. Cache accounting is reported \
+           on stderr."
         ~docv:"MB")
 
 let make_session ~cache_mb engine =
@@ -217,32 +218,44 @@ let slow_ms_arg =
 
 let slow_s_of = function None -> 0.0 | Some ms -> ms /. 1000.0
 
-(* A recorder over [session] wired to the --record/--explain/--slow-ms
-   flags, plus a finisher closing the log file. Recording requires the
-   session (so the cache path is observable) and a forced obs context
-   (so the work counters are live); callers arrange both. *)
-let make_recorder ~record ~explain ~slow_ms session =
-  let oc =
-    Option.map
-      (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
-      record
+(* The one query path of items/rules/count/support-for: a session over
+   [engine] with the --cache-mb budget (0 is a pure passthrough to the
+   engine), and [f] handed [Pool.exec] on it — or, under
+   --record/--explain, the recorder's [exec] wired to the
+   --record/--explain/--slow-ms flags, its log closed when [f] returns
+   or raises. Recording wants a forced obs context so the work counters
+   are live; callers arrange it. *)
+let with_query_exec ~cache_mb ~record ~explain ~slow_ms engine f =
+  let session = make_session ~cache_mb engine in
+  let result =
+    if record = None && not explain then f (Olar_serve.Pool.exec session)
+    else begin
+      let oc =
+        Option.map
+          (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
+          record
+      in
+      let emit r =
+        Option.iter
+          (fun oc ->
+            output_string oc (Olar_replay.Record.to_json_line r);
+            output_char oc '\n')
+          oc;
+        if explain then Format.eprintf "%a@." Olar_replay.Record.pp r
+      in
+      let recorder =
+        Olar_replay.Recorder.create ~slow_s:(slow_s_of slow_ms) ~emit session
+      in
+      let finish () =
+        Option.iter close_out oc;
+        Option.iter (fun path -> Format.eprintf "recorded %s@." path) record
+      in
+      Fun.protect ~finally:finish (fun () ->
+          f (Olar_replay.Recorder.exec recorder))
+    end
   in
-  let emit r =
-    Option.iter
-      (fun oc ->
-        output_string oc (Olar_replay.Record.to_json_line r);
-        output_char oc '\n')
-      oc;
-    if explain then Format.eprintf "%a@." Olar_replay.Record.pp r
-  in
-  let recorder =
-    Olar_replay.Recorder.create ~slow_s:(slow_s_of slow_ms) ~emit session
-  in
-  let finish () =
-    Option.iter close_out oc;
-    Option.iter (fun path -> Format.eprintf "recorded %s@." path) record
-  in
-  (recorder, finish)
+  report_cache session;
+  result
 
 let or_die = function
   | Ok x -> x
@@ -541,49 +554,17 @@ let items_cmd =
     let engine = or_die (load_engine ~obs lattice_path) in
     let vocab = load_vocab vocab_path in
     handle_below_threshold (fun () ->
-        let lat = Olar_core.Engine.lattice engine in
         let db_size = Olar_core.Engine.db_size engine in
-        (* raw query (counts, not fractions), instrumented the same way
-           Engine.itemsets is *)
-        let query work =
-          Olar_core.Query.to_entries lat
-            (Olar_core.Query.find_itemsets ?work lat ~containing
-               ~minsup:(Olar_core.Engine.count_of_support engine minsup))
-        in
-        let session =
-          if cache_mb > 0 || recording then Some (make_session ~cache_mb engine)
-          else None
-        in
-        let entries_of_ids ids =
-          Array.to_list
-            (Array.map
-               (fun v ->
-                 ( Olar_core.Lattice.itemset lat v,
-                   Olar_core.Lattice.support lat v ))
-               ids)
-        in
         let entries, dt =
-          Olar_util.Timer.time (fun () ->
-              match session with
-              | Some s when recording ->
-                let recorder, finish_rec =
-                  make_recorder ~record ~explain ~slow_ms s
-                in
-                Fun.protect ~finally:finish_rec (fun () ->
-                    entries_of_ids
-                      (Olar_replay.Recorder.itemset_ids recorder ~containing
-                         ~minsup))
-              | Some s ->
-                entries_of_ids
-                  (Olar_serve.Session.itemset_ids s ~containing ~minsup)
-              | None -> (
-                match obs with
-                | None -> query None
-                | Some ctx ->
-                  Olar_obs.Obs.query_span ctx ~name:"itemsets"
-                    ~work:Olar_obs.Obs.Vertices query))
+          with_query_exec ~cache_mb ~record ~explain ~slow_ms engine
+            (fun exec ->
+              Olar_util.Timer.time (fun () ->
+                  match
+                    exec (Olar_serve.Pool.Find_itemsets { containing; minsup })
+                  with
+                  | Olar_serve.Pool.R_items entries -> Array.to_list entries
+                  | _ -> assert false))
         in
-        Option.iter report_cache session;
         Fun.protect ~finally:finish_obs @@ fun () ->
         match format with
         | Csv -> emit output (Olar_core.Export.itemsets_to_csv ?vocab ~db_size entries)
@@ -686,50 +667,23 @@ let rules_cmd =
         consequent_includes = consequent;
       }
     in
+    let req =
+      if single then
+        Olar_serve.Pool.Single_consequent_rules { containing; minsup; minconf }
+      else if all then
+        Olar_serve.Pool.All_rules { containing; constraints; minsup; minconf }
+      else
+        Olar_serve.Pool.Essential_rules { containing; constraints; minsup; minconf }
+    in
     handle_below_threshold (fun () ->
-        let session =
-          if cache_mb > 0 || recording then Some (make_session ~cache_mb engine)
-          else None
-        in
         let rules, dt =
-          Olar_util.Timer.time (fun () ->
-              match session with
-              | Some s when recording ->
-                let recorder, finish_rec =
-                  make_recorder ~record ~explain ~slow_ms s
-                in
-                Fun.protect ~finally:finish_rec (fun () ->
-                    if single then
-                      Olar_replay.Recorder.single_consequent_rules ~containing
-                        recorder ~minsup ~minconf
-                    else if all then
-                      Olar_replay.Recorder.all_rules ~containing ~constraints
-                        recorder ~minsup ~minconf
-                    else
-                      Olar_replay.Recorder.essential_rules ~containing
-                        ~constraints recorder ~minsup ~minconf)
-              | Some s ->
-                if single then
-                  Olar_serve.Session.single_consequent_rules s ~containing
-                    ~minsup ~minconf
-                else if all then
-                  Olar_serve.Session.all_rules s ~containing ~constraints
-                    ~minsup ~minconf
-                else
-                  Olar_serve.Session.essential_rules s ~containing ~constraints
-                    ~minsup ~minconf
-              | None ->
-                if single then
-                  Olar_core.Engine.single_consequent_rules engine ~containing
-                    ~minsup ~minconf
-                else if all then
-                  Olar_core.Engine.all_rules engine ~containing ~constraints
-                    ~minsup ~minconf
-                else
-                  Olar_core.Engine.essential_rules engine ~containing
-                    ~constraints ~minsup ~minconf)
+          with_query_exec ~cache_mb ~record ~explain ~slow_ms engine
+            (fun exec ->
+              Olar_util.Timer.time (fun () ->
+                  match exec req with
+                  | Olar_serve.Pool.R_rules rules -> rules
+                  | _ -> assert false))
         in
-        Option.iter report_cache session;
         Fun.protect ~finally:finish_obs @@ fun () ->
         let rules =
           match min_lift with
@@ -798,18 +752,14 @@ let count_cmd =
     let obs, finish_obs = make_obs ~force:recording metrics trace in
     let engine = or_die (load_engine ~obs lattice_path) in
     handle_below_threshold (fun () ->
-        let session =
-          if cache_mb > 0 || recording then Some (make_session ~cache_mb engine)
-          else None
-        in
         let n =
-          match session with
-          | Some s when recording ->
-            let recorder, finish_rec = make_recorder ~record ~explain ~slow_ms s in
-            Fun.protect ~finally:finish_rec (fun () ->
-                Olar_replay.Recorder.count_itemsets ~containing recorder ~minsup)
-          | Some s -> Olar_serve.Session.count_itemsets s ~containing ~minsup
-          | None -> Olar_core.Engine.count_itemsets engine ~containing ~minsup
+          with_query_exec ~cache_mb ~record ~explain ~slow_ms engine
+            (fun exec ->
+              match
+                exec (Olar_serve.Pool.Count_itemsets { containing; minsup })
+              with
+              | Olar_serve.Pool.R_count n -> n
+              | _ -> assert false)
         in
         Format.printf "itemsets: %d@." n;
         (match minconf with
@@ -819,7 +769,6 @@ let count_cmd =
           Format.printf "rules:    %d total, %d essential (redundancy ratio %.2f)@."
             r.Olar_core.Rulegen.total_rules r.Olar_core.Rulegen.essential_count
             r.Olar_core.Rulegen.redundancy_ratio);
-        Option.iter report_cache session;
         finish_obs ())
   in
   Cmd.v
@@ -850,56 +799,31 @@ let support_for_cmd =
     let recording = record <> None || explain in
     let obs, finish_obs = make_obs ~force:recording metrics trace in
     let engine = or_die (load_engine ~obs lattice_path) in
-    let session =
-      if cache_mb > 0 || recording then Some (make_session ~cache_mb engine)
-      else None
+    let req =
+      match minconf with
+      | None -> Olar_serve.Pool.Support_for_k_itemsets { containing; k }
+      | Some c ->
+        Olar_serve.Pool.Support_for_k_rules { involving = containing; minconf = c; k }
     in
-    let recorder =
-      match session with
-      | Some s when recording -> Some (make_recorder ~record ~explain ~slow_ms s)
-      | _ -> None
+    let level =
+      with_query_exec ~cache_mb ~record ~explain ~slow_ms engine (fun exec ->
+          match exec req with
+          | Olar_serve.Pool.R_level level -> level
+          | _ -> assert false)
     in
-    let finish_rec () = Option.iter (fun (_, f) -> f ()) recorder in
-    Fun.protect ~finally:finish_rec @@ fun () ->
-    (match minconf with
-    | None -> (
-      let answer =
-        match (recorder, session) with
-        | Some (r, _), _ ->
-          Olar_replay.Recorder.support_for_k_itemsets r ~containing ~k
-        | None, Some s ->
-          Olar_serve.Session.support_for_k_itemsets s ~containing ~k
-        | None, None ->
-          Olar_core.Engine.support_for_k_itemsets engine ~containing ~k
-      in
-      match answer with
-      | Some level ->
-        Format.printf "exactly %d itemsets containing %a exist at minsup = %.4f%%@."
-          k Itemset.pp containing (100.0 *. level)
-      | None ->
-        Format.printf "fewer than %d itemsets containing %a are prestored@." k
-          Itemset.pp containing)
-    | Some c -> (
-      let answer =
-        match (recorder, session) with
-        | Some (r, _), _ ->
-          Olar_replay.Recorder.support_for_k_rules r ~involving:containing
-            ~minconf:c ~k
-        | None, Some s ->
-          Olar_serve.Session.support_for_k_rules s ~involving:containing
-            ~minconf:c ~k
-        | None, None ->
-          Olar_core.Engine.support_for_k_rules engine ~involving:containing
-            ~minconf:c ~k
-      in
-      match answer with
-      | Some level ->
-        Format.printf
-          "%d single-consequent rules at conf %.0f%% exist at minsup = %.4f%%@."
-          k (100.0 *. c) (100.0 *. level)
-      | None ->
-        Format.printf "fewer than %d such rules can be generated@." k));
-    Option.iter report_cache session;
+    (match (minconf, level) with
+    | None, Some level ->
+      Format.printf "exactly %d itemsets containing %a exist at minsup = %.4f%%@."
+        k Itemset.pp containing (100.0 *. level)
+    | None, None ->
+      Format.printf "fewer than %d itemsets containing %a are prestored@." k
+        Itemset.pp containing
+    | Some c, Some level ->
+      Format.printf
+        "%d single-consequent rules at conf %.0f%% exist at minsup = %.4f%%@."
+        k (100.0 *. c) (100.0 *. level)
+    | Some _, None ->
+      Format.printf "fewer than %d such rules can be generated@." k);
     finish_obs ()
   in
   Cmd.v

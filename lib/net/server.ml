@@ -2,6 +2,7 @@ open Olar_data
 module Pool = Olar_serve.Pool
 module Record = Olar_replay.Record
 module Replay = Olar_replay.Replay
+module Recorder = Olar_replay.Recorder
 module Fnv = Olar_replay.Fnv
 module Jsonx = Olar_obs.Jsonx
 module Metrics = Olar_obs.Metrics
@@ -175,18 +176,6 @@ type t = {
 let itemset_json x =
   Jsonx.Arr (List.map (fun i -> Jsonx.Int i) (Itemset.to_list x))
 
-(* Mirrors {!Olar_replay.Recorder}'s result_size per kind, so captured
-   records look exactly like CLI --record ones. *)
-let result_size = function
-  | Pool.R_items entries -> Array.length entries
-  | Pool.R_count c -> c
-  | Pool.R_rules rules -> List.length rules
-  | Pool.R_level (Some _) -> 1
-  | Pool.R_level None -> 0
-  | Pool.R_entries entries -> List.length entries
-  | Pool.R_promoted { promoted; _ } -> List.length promoted
-  | Pool.R_error _ -> 0
-
 let result_fields = function
   | Pool.R_items entries ->
     [
@@ -270,7 +259,7 @@ let ok_response resp ~id ~latency_s ~total_s =
        ("status", Jsonx.Str "ok");
        ("id", Jsonx.Int id);
        ("digest", Jsonx.Str (Fnv.to_hex digest));
-       ("size", Jsonx.Int (result_size resp));
+       ("size", Jsonx.Int (Recorder.result_size resp));
        ("lat_s", Jsonx.Float latency_s);
        ("total_s", Jsonx.Float total_s);
      ]
@@ -340,7 +329,7 @@ let record_one t (ticket : ticket) resp (c : Pool.completion) =
           Record.seq = t.rec_seq;
           cache = Record.Passthrough;
           digest;
-          result_size = result_size resp;
+          result_size = Recorder.result_size resp;
           latency_s = c.Pool.latency_s;
           vertices = 0;
           heap_pops = 0;

@@ -1,13 +1,14 @@
-(** Workload capture: a recording façade over {!Olar_serve.Session}.
+(** Workload capture: a recording wrapper around {!Olar_serve.Pool.exec}.
 
-    Every query function mirrors the session function of the same name
-    — same arguments, same results, same exceptions — and additionally
-    emits one {!Record.t} describing the call: the full query key, the
-    FNV-1a digest of the canonical-order result, the result size, the
-    wall-clock latency, the traversal work attributed to the call (read
-    as deltas of the engine context's shared work counters, so cached
-    and uncached paths are costed identically), and the cache path the
-    session took ({!Olar_serve.Session.last_path}).
+    {!exec} runs one {!Olar_serve.Pool.request} on a session — same
+    result, same exceptions as {!Olar_serve.Pool.exec} — and emits one
+    {!Record.t} describing the call: the request's key
+    ({!key_of_request}), the digest and size of the response
+    ({!digest_response}, {!result_size}), the wall-clock latency, the
+    traversal work attributed to the call (read as deltas of the engine
+    context's shared work counters, so cached and uncached paths are
+    costed identically), and the cache path the session took
+    ({!Olar_serve.Session.last_path}).
 
     Records reach the caller through [emit] — typically
     {!Record.to_json_line} appended to a jsonl file, or {!Record.pp}
@@ -17,18 +18,7 @@
     each record's position in the session).
 
     A query that raises emits nothing — there is no result to digest —
-    and the sequence number does not advance.
-
-    {b Digest semantics} (the replay contract, see DESIGN.md §9):
-    itemset answers digest each (itemset, integer support count) in
-    canonical order; counts digest the count; rule answers digest each
-    (antecedent, consequent, support count, antecedent count) in
-    generation order; FindSupport answers digest a presence tag then
-    the bits of the fractional level; boundary answers digest each
-    (itemset, fractional support bits) in kernel order; appends digest
-    the promotion frontier and the new database size. *)
-
-open Olar_data
+    and the sequence number does not advance. *)
 
 type t
 
@@ -51,62 +41,34 @@ val session : t -> Olar_serve.Session.t
     ones below the slow threshold). *)
 val count : t -> int
 
-val itemsets :
-  ?containing:Itemset.t -> t -> minsup:float -> (Itemset.t * float) list
+(** [exec t req] is [Olar_serve.Pool.exec (session t) req], recorded.
+    An [Append] folds on the session, exactly as during serving. *)
+val exec : t -> Olar_serve.Pool.request -> Olar_serve.Pool.response
 
-val itemset_ids :
-  ?containing:Itemset.t -> t -> minsup:float -> Olar_core.Lattice.vertex_id array
+(** [key_of_request req] is the query key the recorder writes for
+    [req]: a {!Record.t} whose outcome fields (seq, cache path, digest,
+    size, latency, work, epoch) are neutral. [involving] (rule support)
+    and [target] (boundary) are stored as [containing]; an append
+    stores its delta's transactions and universe size.
+    {!Replay.request_of_record} is its inverse. *)
+val key_of_request : Olar_serve.Pool.request -> Record.t
 
-val count_itemsets : ?containing:Itemset.t -> t -> minsup:float -> int
+(** [digest_response resp] is the FNV-1a digest of a response — the
+    replay contract (DESIGN.md §9); [None] for
+    {!Olar_serve.Pool.R_error}, which has no result to digest.
+    - itemsets: each (itemset, integer support count), canonical order;
+    - counts: the count;
+    - rules: each (antecedent, consequent, support count, antecedent
+      count), generation order;
+    - FindSupport levels: a presence tag, then the bits of the
+      fractional level;
+    - boundaries: each (itemset, fractional support bits), kernel order;
+    - appends: the promotion frontier, then the new database size.
 
-val essential_rules :
-  ?containing:Itemset.t ->
-  ?constraints:Olar_core.Boundary.constraints ->
-  t ->
-  minsup:float ->
-  minconf:float ->
-  Olar_core.Rule.t list
+    {!Replay.digest_response} is this function. *)
+val digest_response : Olar_serve.Pool.response -> Fnv.t option
 
-val all_rules :
-  ?containing:Itemset.t ->
-  ?constraints:Olar_core.Boundary.constraints ->
-  t ->
-  minsup:float ->
-  minconf:float ->
-  Olar_core.Rule.t list
-
-val single_consequent_rules :
-  ?containing:Itemset.t -> t -> minsup:float -> minconf:float -> Olar_core.Rule.t list
-
-val support_for_k_itemsets : t -> containing:Itemset.t -> k:int -> float option
-
-val support_for_k_rules :
-  t -> involving:Itemset.t -> minconf:float -> k:int -> float option
-
-val boundary :
-  ?constraints:Olar_core.Boundary.constraints ->
-  t ->
-  target:Itemset.t ->
-  minconf:float ->
-  (Itemset.t * float) list
-
-val append : ?domains:int -> t -> Database.t -> Itemset.t list
-
-(** {1 Digest definitions}
-
-    The digest of each result shape, exposed so pool replay
-    ({!Replay.run_pool}) and the stress harness hash by-value results
-    with exactly the semantics this recorder captures. *)
-
-(** [digest_items entries] digests (itemset, support count) pairs in
-    the given (canonical) order — the digest of a find-itemsets
-    answer. *)
-val digest_items : (Itemset.t * int) array -> Fnv.t
-
-val digest_rules : Olar_core.Rule.t list -> Fnv.t
-val digest_level : float option -> Fnv.t
-val digest_entries : (Itemset.t * float) list -> Fnv.t
-
-(** [digest_promoted ~db_size promoted] is the append digest: the
-    promotion frontier then the post-append database size. *)
-val digest_promoted : db_size:int -> Itemset.t list -> Fnv.t
+(** [result_size resp] is the size a record carries: entries, rules or
+    promoted itemsets returned, the count itself for a count, 1 or 0
+    for a FindSupport level (found or not), 0 for an error. *)
+val result_size : Olar_serve.Pool.response -> int

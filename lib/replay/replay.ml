@@ -1,5 +1,4 @@
 open Olar_data
-module Session = Olar_serve.Session
 module Pool = Olar_serve.Pool
 module Boundary = Olar_core.Boundary
 module Engine = Olar_core.Engine
@@ -24,6 +23,19 @@ type report = {
   replayed_heap_pops : int;
 }
 
+let empty_report =
+  {
+    total = 0;
+    mismatches = 0;
+    errors = 0;
+    recorded_s = 0.0;
+    replayed_s = 0.0;
+    recorded_vertices = 0;
+    replayed_vertices = 0;
+    recorded_heap_pops = 0;
+    replayed_heap_pops = 0;
+  }
+
 let load path =
   let ic = open_in path in
   Fun.protect
@@ -39,73 +51,6 @@ let load path =
           | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e))
       in
       loop 1 [])
-
-(* Rebuild the exact call a record describes and issue it through
-   [recorder]. Raises [Failure] on a structurally incomplete record
-   (e.g. a find without minsup) — the caller turns that into a failed
-   outcome rather than aborting the whole replay. *)
-let dispatch recorder (r : Record.t) =
-  let minsup () =
-    match r.minsup with
-    | Some s -> s
-    | None -> failwith "record is missing minsup"
-  in
-  let minconf () =
-    match r.minconf with
-    | Some c -> c
-    | None -> failwith "record is missing minconf"
-  in
-  let k () =
-    match r.k with Some k -> k | None -> failwith "record is missing k"
-  in
-  let constraints =
-    {
-      Boundary.antecedent_includes = r.antecedent_includes;
-      consequent_includes = r.consequent_includes;
-      allow_empty_antecedent = r.allow_empty_antecedent;
-    }
-  in
-  match r.kind with
-  | Record.Find_itemsets ->
-    ignore
-      (Recorder.itemset_ids ~containing:r.containing recorder
-         ~minsup:(minsup ()))
-  | Record.Count_itemsets ->
-    ignore
-      (Recorder.count_itemsets ~containing:r.containing recorder
-         ~minsup:(minsup ()))
-  | Record.Essential_rules ->
-    ignore
-      (Recorder.essential_rules ~containing:r.containing ~constraints recorder
-         ~minsup:(minsup ()) ~minconf:(minconf ()))
-  | Record.All_rules ->
-    ignore
-      (Recorder.all_rules ~containing:r.containing ~constraints recorder
-         ~minsup:(minsup ()) ~minconf:(minconf ()))
-  | Record.Single_consequent_rules ->
-    ignore
-      (Recorder.single_consequent_rules ~containing:r.containing recorder
-         ~minsup:(minsup ()) ~minconf:(minconf ()))
-  | Record.Support_for_k_itemsets ->
-    ignore
-      (Recorder.support_for_k_itemsets recorder ~containing:r.containing
-         ~k:(k ()))
-  | Record.Support_for_k_rules ->
-    ignore
-      (Recorder.support_for_k_rules recorder ~involving:r.containing
-         ~minconf:(minconf ()) ~k:(k ()))
-  | Record.Boundary ->
-    ignore
-      (Recorder.boundary ~constraints recorder ~target:r.containing
-         ~minconf:(minconf ()))
-  | Record.Append ->
-    if r.delta_num_items <= 0 then failwith "append record is missing num_items";
-    let delta = Database.of_lists ~num_items:r.delta_num_items r.delta in
-    ignore (Recorder.append recorder delta)
-
-(* ------------------------------------------------------------------ *)
-(* Pool replay: the record key as a by-value request                  *)
-(* ------------------------------------------------------------------ *)
 
 let constraints_of_record (r : Record.t) =
   {
@@ -184,44 +129,29 @@ let request_of_record (r : Record.t) =
     if r.delta_num_items <= 0 then Error "append record is missing num_items"
     else Ok (Pool.Append (Database.of_lists ~num_items:r.delta_num_items r.delta))
 
-let digest_response = function
-  | Pool.R_items entries -> Some (Recorder.digest_items entries)
-  | Pool.R_count c -> Some (Fnv.int Fnv.empty c)
-  | Pool.R_rules rules -> Some (Recorder.digest_rules rules)
-  | Pool.R_level level -> Some (Recorder.digest_level level)
-  | Pool.R_entries entries -> Some (Recorder.digest_entries entries)
-  | Pool.R_promoted { promoted; db_size } ->
-    Some (Recorder.digest_promoted ~db_size promoted)
-  | Pool.R_error _ -> None
+let digest_response = Recorder.digest_response
 
 let run ?(on_outcome = fun _ -> ()) session records =
   let captured = ref None in
   let recorder =
     Recorder.create ~emit:(fun r -> captured := Some r) session
   in
-  let report =
-    ref
-      {
-        total = 0;
-        mismatches = 0;
-        errors = 0;
-        recorded_s = 0.0;
-        replayed_s = 0.0;
-        recorded_vertices = 0;
-        replayed_vertices = 0;
-        recorded_heap_pops = 0;
-        replayed_heap_pops = 0;
-      }
-  in
+  let report = ref empty_report in
   List.iter
     (fun (r : Record.t) ->
       captured := None;
-      let error = ref false in
-      (try dispatch recorder r with _ -> error := true);
+      (* a structurally incomplete record or a raising call emits no
+         record: a failed outcome, counted in [errors] *)
+      let error =
+        match request_of_record r with
+        | Error _ -> true
+        | Ok req -> (
+          match Recorder.exec recorder req with
+          | _ -> false
+          | exception _ -> true)
+      in
       let replayed = !captured in
       let ok =
-        (not !error)
-        &&
         match replayed with
         | Some (p : Record.t) -> Int64.equal p.Record.digest r.Record.digest
         | None -> false
@@ -231,7 +161,7 @@ let run ?(on_outcome = fun _ -> ()) session records =
         {
           total = t.total + 1;
           mismatches = (t.mismatches + if ok then 0 else 1);
-          errors = (t.errors + if !error then 1 else 0);
+          errors = (t.errors + if error then 1 else 0);
           recorded_s = t.recorded_s +. r.Record.latency_s;
           replayed_s =
             (t.replayed_s
@@ -283,20 +213,7 @@ let run_pool ?(on_response = fun _ _ ~ok:_ -> ()) pool records =
     reqs;
   Pool.drain pool;
   let idx = ref 0 in
-  let report =
-    ref
-      {
-        total = 0;
-        mismatches = 0;
-        errors = 0;
-        recorded_s = 0.0;
-        replayed_s = 0.0;
-        recorded_vertices = 0;
-        replayed_vertices = 0;
-        recorded_heap_pops = 0;
-        replayed_heap_pops = 0;
-      }
-  in
+  let report = ref empty_report in
   List.iter
     (fun ((r : Record.t), q) ->
       let resp, latency =

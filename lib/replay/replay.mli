@@ -1,9 +1,9 @@
 (** Deterministic re-execution of a captured workload log.
 
     [run] replays each {!Record.t} against a session — rebuilding the
-    exact call from the record's query key — through a fresh
-    {!Recorder}, and compares the replayed digest against the recorded
-    one. The digest invariant leans on the canonical result orders
+    request from the record's query key ({!request_of_record}) and
+    executing it through a fresh {!Recorder} — and compares the
+    replayed digest against the recorded one. The digest invariant leans on the canonical result orders
     pinned in the core kernels, so on the same lattice a mismatch is a
     correctness regression, not noise: nondeterminism would have to be
     introduced deliberately to break it.
@@ -25,7 +25,9 @@ type outcome = {
 type report = {
   total : int;
   mismatches : int;  (** digest mismatches, including raised calls *)
-  errors : int;  (** replayed calls that raised (subset of mismatches) *)
+  errors : int;
+      (** records that could not be rebuilt into a request, or whose
+          replayed call raised (subset of mismatches) *)
   recorded_s : float;  (** summed recorded latency *)
   replayed_s : float;  (** summed replayed latency *)
   recorded_vertices : int;
@@ -47,18 +49,20 @@ val run :
   Record.t list ->
   report
 
-(** {1 Pool replay} *)
+(** {1 Keys and digests} *)
 
 (** [request_of_record r] is the {!Olar_serve.Pool} request for [r]'s
     query key, or [Error] when the record is structurally incomplete
-    (e.g. a find without minsup). *)
+    (e.g. a find without minsup). The inverse of
+    {!Recorder.key_of_request}. *)
 val request_of_record :
   Record.t -> (Olar_serve.Pool.request, string) result
 
-(** [digest_response resp] hashes a by-value pool response with exactly
-    the {!Recorder} digest semantics for its kind; [None] for
-    {!Olar_serve.Pool.R_error} (an error has no digestible result). *)
+(** [digest_response] is {!Recorder.digest_response}, the one digest
+    over a response; [None] for {!Olar_serve.Pool.R_error}. *)
 val digest_response : Olar_serve.Pool.response -> Fnv.t option
+
+(** {1 Pool replay} *)
 
 (** [run_pool pool records] streams the log through a serving pool via
     {!Olar_serve.Pool.submit} — the server drainer's continuous path —

@@ -179,37 +179,36 @@ let note_work t idx dt =
 let materialize lat ids =
   Array.map (fun v -> (Lattice.itemset lat v, Lattice.support lat v)) ids
 
+let exec session req =
+  match req with
+  | Find_itemsets { containing; minsup } ->
+    let ids = Session.itemset_ids ~containing session ~minsup in
+    R_items (materialize (Engine.lattice (Session.engine session)) ids)
+  | Count_itemsets { containing; minsup } ->
+    R_count (Session.count_itemsets ~containing session ~minsup)
+  | Essential_rules { containing; constraints; minsup; minconf } ->
+    R_rules
+      (Session.essential_rules ~containing ~constraints session ~minsup ~minconf)
+  | All_rules { containing; constraints; minsup; minconf } ->
+    R_rules (Session.all_rules ~containing ~constraints session ~minsup ~minconf)
+  | Single_consequent_rules { containing; minsup; minconf } ->
+    R_rules
+      (Session.single_consequent_rules ~containing session ~minsup ~minconf)
+  | Support_for_k_itemsets { containing; k } ->
+    R_level (Session.support_for_k_itemsets session ~containing ~k)
+  | Support_for_k_rules { involving; minconf; k } ->
+    R_level (Session.support_for_k_rules session ~involving ~minconf ~k)
+  | Boundary { target; constraints; minconf } ->
+    R_entries (Session.boundary ~constraints session ~target ~minconf)
+  | Append delta ->
+    let promoted = Session.append session delta in
+    R_promoted { promoted; db_size = Engine.db_size (Session.engine session) }
+
 (* Every exception becomes [R_error]: a bad threshold in one request
    must not poison the rest of the stream, and the serial comparison
    path raises the identical exception, keeping digests stable. *)
-let execute session req =
-  try
-    match req with
-    | Find_itemsets { containing; minsup } ->
-      let ids = Session.itemset_ids ~containing session ~minsup in
-      R_items (materialize (Engine.lattice (Session.engine session)) ids)
-    | Count_itemsets { containing; minsup } ->
-      R_count (Session.count_itemsets ~containing session ~minsup)
-    | Essential_rules { containing; constraints; minsup; minconf } ->
-      R_rules
-        (Session.essential_rules ~containing ~constraints session ~minsup
-           ~minconf)
-    | All_rules { containing; constraints; minsup; minconf } ->
-      R_rules
-        (Session.all_rules ~containing ~constraints session ~minsup ~minconf)
-    | Single_consequent_rules { containing; minsup; minconf } ->
-      R_rules
-        (Session.single_consequent_rules ~containing session ~minsup ~minconf)
-    | Support_for_k_itemsets { containing; k } ->
-      R_level (Session.support_for_k_itemsets session ~containing ~k)
-    | Support_for_k_rules { involving; minconf; k } ->
-      R_level (Session.support_for_k_rules session ~involving ~minconf ~k)
-    | Boundary { target; constraints; minconf } ->
-      R_entries (Session.boundary ~constraints session ~target ~minconf)
-    | Append _ ->
-      (* appends fold on the coordinator inside [submit], never in a shard *)
-      R_error "Pool: append reached a worker"
-  with e -> R_error (Printexc.to_string e)
+let exec_or_error session req =
+  try exec session req with e -> R_error (Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot adoption and reclamation                                  *)
@@ -362,7 +361,7 @@ let exec_slot t idx slot =
   let t0 = Timer.monotonic_s () in
   Metrics.Histogram.observe t.dispatch_wait
     (Float.max 0.0 (t0 -. slot.s_submitted));
-  let resp = execute t.sessions.(idx) req in
+  let resp = exec_or_error t.sessions.(idx) req in
   let dt = Float.max 0.0 (Timer.monotonic_s () -. t0) in
   note_work t idx dt;
   let c =
@@ -556,7 +555,7 @@ let drain t =
    after this append is claimed after the swap and adopts gen >=
    [snap.gen] (see [maybe_adopt]). *)
 let publish_append t delta =
-  let promoted = Session.append t.sessions.(0) delta in
+  let resp = exec t.sessions.(0) (Append delta) in
   let engine = Session.engine t.sessions.(0) in
   let old = Atomic.get t.published in
   let snap =
@@ -572,7 +571,7 @@ let publish_append t delta =
   reclaim t;
   (* parked workers have no next claim to adopt at — wake them all *)
   wake_all t;
-  R_promoted { promoted; db_size = Engine.db_size engine }
+  resp
 
 (* ------------------------------------------------------------------ *)
 (* Submission                                                         *)
@@ -621,7 +620,7 @@ let submit_exn t msg req deliver =
       deliver
   | _ ->
     if t.num_domains = 1 then
-      inline_exec t (fun () -> execute t.sessions.(0) req) deliver
+      inline_exec t (fun () -> exec_or_error t.sessions.(0) req) deliver
     else begin
       ignore (Atomic.fetch_and_add t.inflight 1);
       let now = Timer.monotonic_s () in
@@ -664,49 +663,27 @@ let with_pool ?domains ?budget_bytes engine f =
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* ------------------------------------------------------------------ *)
-(* Batch wrappers                                                     *)
+(* Batch wrapper                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let run_msg = "Pool.run: pool is shut down"
 
-(* The batch wrappers keep the old sequential semantics on top of
+(* [run] keeps a serial session's sequential semantics on top of
    non-blocking appends by draining before each [Append] submission:
    within one batch, every request before an append executes on the
    pre-append snapshot and every request after it on the post-append
    one — exactly what a serial [Session] does, so positional digest
    equality against serial execution still holds. Streaming callers
    that want appends to overlap reads use {!submit} directly. *)
-let run_with t ~deliver reqs =
+let run t reqs =
   if t.closed then invalid_arg run_msg;
-  let n = Array.length reqs in
-  let out = Array.make n (R_error "not executed", 0.0) in
-  for i = 0 to n - 1 do
-    (match reqs.(i) with Append _ -> drain_quiet t | _ -> ());
-    submit_exn t run_msg reqs.(i) (fun resp c ->
-        let r = (resp, c.latency_s) in
-        out.(i) <- r;
-        deliver i r)
-  done;
+  let out = Array.make (Array.length reqs) (R_error "not executed") in
+  Array.iteri
+    (fun i req ->
+      (match req with Append _ -> drain_quiet t | _ -> ());
+      submit_exn t run_msg req (fun resp _ -> out.(i) <- resp))
+    reqs;
   drain_quiet t;
   (* every completion's inflight decrement happened-before the drain's
      zero read, so the [out] writes are visible here *)
-  out
-
-let no_deliver _ _ = ()
-let run_timed t reqs = run_with t ~deliver:no_deliver reqs
-let run t reqs = Array.map fst (run_timed t reqs)
-
-(* Per-completion delivery. The callback runs on whichever domain
-   finishes the request, so it must be domain-safe; a callback that
-   raises must not kill a worker loop, so exceptions are caught at the
-   delivery site and the first one re-raised on the caller's domain
-   after the batch. *)
-let run_deliver t ~on_complete reqs =
-  let first_exn = Atomic.make None in
-  let deliver i r =
-    try on_complete i r
-    with e -> ignore (Atomic.compare_and_set first_exn None (Some e))
-  in
-  let out = run_with t ~deliver reqs in
-  (match Atomic.get first_exn with Some e -> raise e | None -> ());
   out

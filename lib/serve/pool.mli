@@ -56,23 +56,25 @@
     (the claim's stamp read pairs with the publish). Each completion
     records the generation and engine epoch its request actually
     executed on, which is what the differential tests check digests
-    against. The batch wrappers ({!run} and friends) additionally drain
-    before each [Append], preserving the old sequential semantics —
-    positional digest equality with a serial {!Session} — for batch
-    callers and capture replay.
+    against. The batch wrapper {!run} additionally drains before each
+    [Append], preserving the old sequential semantics — positional
+    digest equality with a serial {!Session} — for batch callers.
 
-    A request that raises (e.g. {!Olar_core.Query.Below_primary_threshold})
-    yields {!R_error} rather than poisoning the stream; the same
-    exception raises identically in serial execution, so error
+    Every request, on every domain, runs through {!exec}. A request
+    that raises (e.g. {!Olar_core.Query.Below_primary_threshold}) yields
+    {!R_error} rather than poisoning the stream; the same exception
+    raises identically from {!exec} in serial execution, so error
     responses are digest-stable too. *)
 
 open Olar_data
 
 type t
 
-(** One query, by value — the pool-side mirror of the
-    {!Olar_replay.Record} key. [Append] folds a delta into the store
-    and publishes a new snapshot generation. *)
+(** One query, by value: the one query shape above {!Session}, shared
+    by the pool, the server, the workload recorder and the CLI. The
+    {!Olar_replay.Record} key is its flat log form. [Append] folds a
+    delta into the store (in a pool: and publishes a new snapshot
+    generation). *)
 type request =
   | Find_itemsets of { containing : Itemset.t; minsup : float }
   | Count_itemsets of { containing : Itemset.t; minsup : float }
@@ -107,7 +109,7 @@ type request =
     later append swaps the lattice. [R_items] is in canonical order
     (support descending, id ascending); [R_promoted] carries the
     promotion frontier and the post-append database size — exactly the
-    inputs to the {!Olar_replay.Recorder} digest for each kind. *)
+    inputs to {!Olar_replay.Replay.digest_response}. *)
 type response =
   | R_items of (Itemset.t * int) array
   | R_count of int
@@ -130,6 +132,13 @@ type completion = {
   epoch : int;
   gen : int;
 }
+
+(** [exec session req] runs [req] on [session] — the one mapping from a
+    request onto {!Session} calls. [Append] folds the delta through
+    {!Session.append} and answers {!R_promoted}. Raises whatever the
+    session function raises; never returns {!R_error} (the pool's
+    workers turn exceptions into it). *)
+val exec : Session.t -> request -> response
 
 (** [create engine] spawns the pool.
     @param domains total domains serving queries, including the
@@ -183,45 +192,16 @@ val submit : t -> request -> (response -> completion -> unit) -> unit
     drain, after the pool is quiet. *)
 val drain : t -> unit
 
-(** {1 Batch wrappers}
-
-    Thin compatibility layers over {!submit} + {!drain}; same
-    coordinator-only constraint. Unlike raw {!submit}, the wrappers
-    drain before each [Append] in the batch, so a batch keeps the
-    sequential semantics of a serial {!Session}: responses are
-    positionally digest-equal to serial execution of the same array. *)
+(** {1 Batch wrapper} *)
 
 (** [run t reqs] submits the batch and returns responses in submission
-    order: [(run t reqs).(i)] answers [reqs.(i)]. Raises
-    [Invalid_argument] after {!shutdown}. *)
+    order: [(run t reqs).(i)] answers [reqs.(i)]. A thin layer over
+    {!submit} + {!drain} with the same coordinator-only constraint;
+    unlike raw {!submit}, it drains before each [Append] in the batch,
+    so a batch keeps the sequential semantics of a serial {!Session}:
+    responses are positionally digest-equal to serial execution of the
+    same array. Raises [Invalid_argument] after {!shutdown}. *)
 val run : t -> request array -> response array
-
-(** [run_timed t reqs] is {!run} with each response paired with its
-    service latency in seconds (monotonic clock, shard wait excluded —
-    the time from a domain claiming the request to its completion). *)
-val run_timed : t -> request array -> (response * float) array
-
-(** [run_deliver t ~on_complete reqs] is {!run_timed} with
-    per-completion delivery: [on_complete i (resp, dt)] fires the
-    moment request [i] finishes, on {b whichever domain} executed it —
-    possibly concurrently with other completions and in any order. The
-    returned array is still the full batch in submission order
-    ([out.(i)] answers [reqs.(i)], always), so the two views are
-    redundant by construction; the callback exists for callers that
-    unblock per-request waiters without paying the whole batch's tail
-    latency first.
-
-    Constraints on [on_complete] are those of {!submit}'s callback. It
-    is called exactly once per request, including [Append]s (delivered
-    by the coordinator) and [R_error] responses. If it raises, the
-    exception is swallowed at the delivery site — letting it escape
-    would kill a worker loop — and the first such exception is
-    re-raised on the caller's domain after the batch completes. *)
-val run_deliver :
-  t ->
-  on_complete:(int -> response * float -> unit) ->
-  request array ->
-  (response * float) array
 
 (** {1 Introspection} *)
 

@@ -256,11 +256,6 @@ type t = {
       (* session-owned scratch for the id-level kernels the Engine
          facade does not expose; replaced together with the engine *)
   cache : cache option;
-  work_vertices : Counter.t option;
-  work_heap : Counter.t option;
-      (* the engine obs context's shared work counters, interned once so
-         the cached compute paths attribute kernel work exactly like the
-         passthrough paths that go through [Engine.query_span] *)
   mutable last_path : path;
 }
 
@@ -331,12 +326,6 @@ let create ?budget_bytes engine =
     engine;
     scratch = Scratch.create (Engine.lattice engine);
     cache;
-    work_vertices =
-      Option.map
-        (fun ctx -> Obs.counter ctx "olar_query_vertices_visited_total")
-        obs;
-    work_heap =
-      Option.map (fun ctx -> Obs.counter ctx "olar_query_heap_pops_total") obs;
     last_path = Passthrough;
   }
 
@@ -380,10 +369,20 @@ let prefix_length lat ids minsup =
     !hi
   end
 
+(* A query the session computes on its own id-level kernels (a cache
+   miss, or the passthrough find) is counted, timed and traced under
+   [name] exactly like the Engine entry point it stands in for. Hits
+   stay uncounted, as they are for rules. *)
+let query_span t ~name ~work run =
+  match Engine.obs t.engine with
+  | None -> run None
+  | Some ctx -> Obs.query_span ctx ~name ~work run
+
 let compute_find t ~containing ~minsup =
-  Array.of_list
-    (Query.find_itemsets ?work:t.work_vertices ~scratch:t.scratch (lattice t)
-       ~containing ~minsup)
+  query_span t ~name:"itemsets" ~work:Obs.Vertices (fun work ->
+      Array.of_list
+        (Query.find_itemsets ?work ~scratch:t.scratch (lattice t) ~containing
+           ~minsup))
 
 (* The cached array plus the prefix length serving this cut. *)
 let find_prefix t c ~containing ~minsup =
@@ -440,9 +439,7 @@ let itemset_ids ?containing t ~minsup =
   match t.cache with
   | None ->
     t.last_path <- Passthrough;
-    Array.of_list
-      (Query.find_itemsets ?work:t.work_vertices ~scratch:t.scratch (lattice t)
-         ~containing ~minsup:cut)
+    compute_find t ~containing ~minsup:cut
   | Some c ->
     let ids, p = find_prefix t c ~containing ~minsup:cut in
     Array.sub ids 0 p
@@ -543,8 +540,10 @@ let support_for_k_itemsets t ~containing ~k =
     let key = K_topk containing in
     let compute () =
       let answer =
-        Support_query.find_support ?work:t.work_heap ~scratch:t.scratch
-          (lattice t) ~containing ~k
+        query_span t ~name:"support_for_k_itemsets" ~work:Obs.Heap_pops
+          (fun work ->
+            Support_query.find_support ?work ~scratch:t.scratch (lattice t)
+              ~containing ~k)
       in
       let payload =
         P_topk
@@ -595,8 +594,10 @@ let support_for_k_rules t ~involving ~minconf ~k =
     let key = K_topk_rules { involving; minconf } in
     let compute () =
       let answer =
-        Support_query.find_support_for_rules ?work:t.work_heap
-          ~scratch:t.scratch (lattice t) ~involving ~confidence ~k
+        query_span t ~name:"support_for_k_rules" ~work:Obs.Heap_pops
+          (fun work ->
+            Support_query.find_support_for_rules ?work ~scratch:t.scratch
+              (lattice t) ~involving ~confidence ~k)
       in
       let payload =
         P_topk_rules

@@ -51,7 +51,11 @@
     [olar_cache_evictions_total], the [olar_cache_resident_bytes] gauge,
     and per-kind hit-latency histograms
     [olar_cache_hit_{find,rules,topk}_seconds]. With telemetry disabled
-    the same cells are kept privately for {!val-stats}.
+    the same cells are kept privately for {!val-stats}. A query the
+    session computes — passthrough or cache miss — is counted in
+    [olar_queries_total], timed and traced like the
+    {!Olar_core.Engine} call it stands for (a find or count that walks
+    the lattice counts as [itemsets]); a cache hit is not.
 
     With [budget_bytes = 0] the session is a pure passthrough: every
     call dispatches straight to the engine with no per-query allocation

@@ -8,27 +8,31 @@ let cli_path () =
   let candidate = Filename.concat dir "../bin/olar_cli.exe" in
   if Sys.file_exists candidate then Some candidate else None
 
-(* Run a command, return (exit code, stdout lines). *)
-let run_cli cli args =
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+(* Run a command, return (exit code, stdout lines, stderr lines). *)
+let run_cli_split cli args =
   let out = Filename.temp_file "olar_cli" ".out" in
+  let err = Filename.temp_file "olar_cli" ".err" in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ out; err ])
     (fun () ->
       let command =
-        Printf.sprintf "%s %s > %s 2>&1" (Filename.quote cli)
+        Printf.sprintf "%s %s > %s 2> %s" (Filename.quote cli)
           (String.concat " " (List.map Filename.quote args))
-          (Filename.quote out)
+          (Filename.quote out) (Filename.quote err)
       in
       let code = Sys.command command in
-      let ic = open_in out in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      close_in ic;
-      (code, List.rev !lines))
+      (code, read_lines out, read_lines err))
+
+(* Run a command, return (exit code, stdout then stderr lines). *)
+let run_cli cli args =
+  let code, out, err = run_cli_split cli args in
+  (code, out @ err)
 
 let with_cli f () =
   match cli_path () with
@@ -251,6 +255,107 @@ let test_domains_flag cli =
       Alcotest.(check bool) "trace file has spans" true (!n > 0);
       Alcotest.(check bool) "every span is domain-tagged" true !tagged)
 
+(* The text header's elapsed time ("N itemsets (0.0012s):") is the one
+   field of a query's stdout that differs run to run. *)
+let mask_elapsed line =
+  match String.index_opt line '(' with
+  | Some i when String.ends_with ~suffix:"s):" line ->
+    String.sub line 0 i ^ "(elapsed):"
+  | _ -> line
+
+(* Every query command prints the same stdout whether it runs with the
+   cache off, through an 8 MiB session cache, or under --record; a query
+   below the primary threshold fails the same way in each mode; and the
+   uncached run still reports the per-kind query latency histogram. *)
+let test_query_parity cli =
+  in_temp_dir (fun dir ->
+      let db = Filename.concat dir "data.db" in
+      let lattice = Filename.concat dir "data.lattice" in
+      let log = Filename.concat dir "queries.jsonl" in
+      check_ok "gen"
+        (run_cli cli
+           [ "gen"; "--name"; "T10.I6.D1K"; "--items"; "60"; "--seed"; "5"; "-o"; db ]);
+      check_ok "preprocess"
+        (run_cli cli [ "preprocess"; "-d"; db; "--support"; "0.03"; "-o"; lattice ]);
+      let modes =
+        [
+          ("--cache-mb 0", [ "--cache-mb"; "0" ]);
+          ("--cache-mb 8", [ "--cache-mb"; "8" ]);
+          ("--record", [ "--record"; log ]);
+        ]
+      in
+      let query args mode = run_cli_split cli (args @ [ "-l"; lattice ] @ mode) in
+      (* (query, the olar_query_<kind>_seconds it must report) *)
+      let queries =
+        [
+          ([ "items"; "--minsup"; "0.04"; "--limit"; "1000" ], "itemsets");
+          ([ "items"; "--minsup"; "0.035"; "--format"; "csv" ], "itemsets");
+          ( [ "rules"; "--minsup"; "0.03"; "--minconf"; "0.3"; "--limit"; "1000" ],
+            "essential_rules" );
+          ( [ "rules"; "--minsup"; "0.03"; "--minconf"; "0.3"; "--all";
+              "--limit"; "1000" ],
+            "all_rules" );
+          ( [ "rules"; "--minsup"; "0.03"; "--minconf"; "0.3";
+              "--single-consequent"; "--limit"; "1000" ],
+            "single_consequent_rules" );
+          ([ "count"; "--minsup"; "0.03" ], "count_itemsets");
+          ([ "count"; "--minsup"; "0.03"; "--minconf"; "0.3" ], "count_itemsets");
+          ([ "support-for"; "-k"; "10" ], "support_for_k_itemsets");
+          ([ "support-for"; "-k"; "10"; "--minconf"; "0.3" ], "support_for_k_rules");
+        ]
+      in
+      List.iter
+        (fun (args, kind) ->
+          let name = String.concat " " args in
+          let baseline = ref None in
+          List.iter
+            (fun (label, mode) ->
+              let code, out, err = query args mode in
+              check_ok (name ^ " " ^ label) (code, out @ err);
+              let out = List.map mask_elapsed out in
+              match !baseline with
+              | None -> baseline := Some out
+              | Some expected ->
+                Alcotest.(check (list string))
+                  (Printf.sprintf "%s: %s stdout" name label)
+                  expected out)
+            modes;
+          let code, out, err = query (args @ [ "--metrics" ]) [ "--cache-mb"; "0" ] in
+          check_ok (name ^ " --metrics") (code, out @ err);
+          let metric = Printf.sprintf "olar_query_%s_seconds" kind in
+          Alcotest.(check bool) (name ^ " reports " ^ metric) true
+            (contains out metric))
+        queries;
+      Alcotest.(check int) "--record logged every recorded query"
+        (List.length queries) (List.length (read_lines log));
+      List.iter
+        (fun args ->
+          let name = String.concat " " args in
+          let first = ref None in
+          List.iter
+            (fun (label, mode) ->
+              let code, out, err = query args mode in
+              Alcotest.(check int) (name ^ " " ^ label ^ ": exit code") 2 code;
+              Alcotest.(check (list string)) (name ^ " " ^ label ^ ": stdout") [] out;
+              let message =
+                List.filter
+                  (fun l -> Helpers.contains_substring l "primary threshold")
+                  err
+              in
+              Alcotest.(check int) (name ^ " " ^ label ^ ": one message") 1
+                (List.length message);
+              match !first with
+              | None -> first := Some message
+              | Some expected ->
+                Alcotest.(check (list string)) (name ^ " " ^ label ^ ": message")
+                  expected message)
+            modes)
+        [
+          [ "items"; "--minsup"; "0.01" ];
+          [ "rules"; "--minsup"; "0.01"; "--minconf"; "0.3" ];
+          [ "count"; "--minsup"; "0.01" ];
+        ])
+
 let suites =
   [
     ( "cli",
@@ -259,5 +364,7 @@ let suites =
         Alcotest.test_case "error paths" `Quick (with_cli test_error_paths);
         Alcotest.test_case "--domains validation and pool replay" `Quick
           (with_cli test_domains_flag);
+        Alcotest.test_case "query output parity across cache modes" `Quick
+          (with_cli test_query_parity);
       ] );
   ]

@@ -19,5 +19,6 @@ let () =
    @ Test_core.suites @ Test_queries.suites @ Test_lattice_csr.suites
    @ Test_serve.suites @ Test_baseline.suites @ Test_extensions.suites
    @ Test_taxonomy.suites @ Test_quant.suites @ Test_laws.suites
-   @ Test_obs.suites @ Test_replay.suites @ Test_net.suites
+   @ Test_obs.suites @ Test_replay.suites @ Test_golden.suites
+   @ Test_net.suites
     @ (if quick_only then [] else slow_suites))

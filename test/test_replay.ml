@@ -8,6 +8,7 @@
 open Olar_data
 open Olar_core
 module Session = Olar_serve.Session
+module Pool = Olar_serve.Pool
 module Fnv = Olar_replay.Fnv
 module Record = Olar_replay.Record
 module Recorder = Olar_replay.Recorder
@@ -168,14 +169,25 @@ let recording_session ?(budget_bytes = 1 lsl 20) () =
 (* db_size 1000 in the Table 2 fixture *)
 let f c = float_of_int c /. 1000.0
 
+let find ?(containing = Itemset.empty) minsup =
+  Pool.Find_itemsets { containing; minsup }
+
+let count ?(containing = Itemset.empty) minsup =
+  Pool.Count_itemsets { containing; minsup }
+
+let boundary target minconf =
+  Pool.Boundary { target; constraints = Boundary.unconstrained; minconf }
+
+let exec recorder req = ignore (Recorder.exec recorder req)
+
 let test_recorder_accounting () =
   let session = recording_session () in
   let out = ref [] in
   let recorder = Recorder.create ~emit:(fun r -> out := r :: !out) session in
-  ignore (Recorder.itemset_ids recorder ~minsup:(f 3));
-  ignore (Recorder.itemset_ids recorder ~minsup:(f 10));
-  ignore (Recorder.count_itemsets recorder ~minsup:(f 3));
-  ignore (Recorder.boundary recorder ~target:(set [ 1 ]) ~minconf:0.5);
+  exec recorder (find (f 3));
+  exec recorder (find (f 10));
+  exec recorder (count (f 3));
+  exec recorder (boundary (set [ 1 ]) 0.5);
   match List.rev !out with
   | [ a; b; c; d ] ->
     check Alcotest.int "seq 0" 0 a.Record.seq;
@@ -204,7 +216,7 @@ let test_recorder_slow_filter () =
       ~emit:(fun r -> out := r :: !out)
       session
   in
-  ignore (Recorder.count_itemsets recorder ~minsup:(f 3));
+  exec recorder (count (f 3));
   check Alcotest.int "fast query filtered" 0 (List.length !out);
   check Alcotest.int "but still numbered" 1 (Recorder.count recorder);
   (* make the next query appear slow to the recorder's clock *)
@@ -222,7 +234,7 @@ let test_recorder_slow_filter () =
       ~emit:(fun r -> slow_out := r :: !slow_out)
       slow_session
   in
-  ignore (Recorder.count_itemsets ticking ~minsup:(f 3));
+  exec ticking (count (f 3));
   (match !slow_out with
   | [ r ] ->
     check Alcotest.int "slow query emitted with its seq" 0 r.Record.seq;
@@ -233,9 +245,7 @@ let test_recorder_slow_filter () =
   let raising = recording_session () in
   let r_out = ref [] in
   let rec_r = Recorder.create ~emit:(fun r -> r_out := r :: !r_out) raising in
-  (try
-     ignore
-       (Recorder.itemset_ids rec_r ~minsup:(0.5 /. 1000.0) (* below primary *))
+  (try exec rec_r (find (0.5 /. 1000.0)) (* below primary *)
    with Query.Below_primary_threshold _ -> ());
   check Alcotest.int "nothing emitted" 0 (List.length !r_out);
   check Alcotest.int "seq not consumed" 0 (Recorder.count rec_r)
@@ -260,7 +270,7 @@ let test_recorder_backwards_clock () =
   let recorder =
     Recorder.create ~clock ~emit:(fun r -> out := r :: !out) session
   in
-  ignore (Recorder.count_itemsets recorder ~minsup:(f 3));
+  exec recorder (count (f 3));
   match !out with
   | [ r ] ->
     check (Alcotest.float 0.0) "latency clamped to zero, not -6s" 0.0
@@ -276,10 +286,12 @@ let digest_of_db db ~session_of (minsup_count, containing, minconf) =
   let recorder = Recorder.create ~emit:(fun r -> out := r :: !out) session in
   let minsup_count = min minsup_count (Database.size db) in
   let minsup = float_of_int minsup_count /. float_of_int (Database.size db) in
-  ignore (Recorder.itemset_ids ~containing recorder ~minsup);
-  ignore (Recorder.essential_rules ~containing recorder ~minsup ~minconf);
-  ignore (Recorder.count_itemsets ~containing recorder ~minsup);
-  ignore (Recorder.support_for_k_itemsets recorder ~containing ~k:3);
+  exec recorder (find ~containing minsup);
+  exec recorder
+    (Pool.Essential_rules
+       { containing; constraints = Boundary.unconstrained; minsup; minconf });
+  exec recorder (count ~containing minsup);
+  exec recorder (Pool.Support_for_k_itemsets { containing; k = 3 });
   List.rev_map (fun r -> r.Record.digest) !out
 
 let digest_scenario_gen =
@@ -316,16 +328,22 @@ let digest_stability_prop =
 let capture_workload session =
   let out = ref [] in
   let recorder = Recorder.create ~emit:(fun r -> out := r :: !out) session in
-  ignore (Recorder.itemset_ids recorder ~minsup:(f 3));
-  ignore (Recorder.essential_rules recorder ~minsup:(f 3) ~minconf:0.5);
-  ignore (Recorder.boundary recorder ~target:(set [ 1 ]) ~minconf:0.5);
+  exec recorder (find (f 3));
+  exec recorder
+    (Pool.Essential_rules
+       {
+         containing = Itemset.empty;
+         constraints = Boundary.unconstrained;
+         minsup = f 3;
+         minconf = 0.5;
+       });
+  exec recorder (boundary (set [ 1 ]) 0.5);
   (* mid-stream maintenance bumps supports for later queries *)
-  ignore
-    (Recorder.append recorder
-       (Database.of_lists ~num_items:6 [ [ 1; 2 ]; [ 1; 2; 3 ] ]));
-  ignore (Recorder.itemset_ids recorder ~minsup:(f 3));
-  ignore (Recorder.count_itemsets recorder ~minsup:(f 10));
-  ignore (Recorder.support_for_k_itemsets recorder ~containing:Itemset.empty ~k:4);
+  exec recorder
+    (Pool.Append (Database.of_lists ~num_items:6 [ [ 1; 2 ]; [ 1; 2; 3 ] ]));
+  exec recorder (find (f 3));
+  exec recorder (count (f 10));
+  exec recorder (Pool.Support_for_k_itemsets { containing = Itemset.empty; k = 4 });
   List.rev !out
 
 let test_replay_roundtrip () =
@@ -409,6 +427,26 @@ let test_replay_pool_roundtrip () =
           check Alcotest.int "errors" 0 report.Replay.errors))
     [ 0; 1 lsl 20 ]
 
+(* ------------------------------------------------------------------ *)
+(* Request <-> record key                                             *)
+
+(* Every request survives the trip to the key the recorder writes —
+   through the jsonl line, as a log stores it — and back through
+   [request_of_record]. Pins the [involving] <-> [containing] and
+   [target] <-> [containing] mappings both directions must agree on. *)
+let key_roundtrip_prop =
+  QCheck2.Test.make ~name:"replay: request -> key -> request is the identity"
+    ~count:500 ~print:Test_serve.req_print
+    (Test_serve.pool_request_gen ~num_items:8 ~db_size:20 ~threshold:2)
+    (fun req ->
+      let line = Record.to_json_line (Recorder.key_of_request req) in
+      match Record.of_json_line line with
+      | Error e -> QCheck2.Test.fail_reportf "%s does not parse: %s" line e
+      | Ok key -> (
+        match Replay.request_of_record key with
+        | Error e -> QCheck2.Test.fail_reportf "%s: %s" line e
+        | Ok req' -> req' = req))
+
 let case name fn = Alcotest.test_case name `Quick fn
 
 let suites =
@@ -434,4 +472,5 @@ let suites =
         case "pool replay round trip" test_replay_pool_roundtrip;
       ] );
     Helpers.qsuite "replay.digest" [ digest_stability_prop ];
+    Helpers.qsuite "replay.keys" [ key_roundtrip_prop ];
   ]

@@ -622,10 +622,9 @@ let test_pool_shutdown_idempotent () =
     (Invalid_argument "Pool.run: pool is shut down") (fun () ->
       ignore (Pool.run pool [||]))
 
-(* Submission-order pin: [run] (and the array [run_deliver] returns)
-   answers [reqs.(i)] at index [i], whatever domain executed what.
-   Distinct minsup cuts over Table 2 have distinct counts, so a
-   misrouted response cannot go unnoticed. *)
+(* Submission-order pin: [run] answers [reqs.(i)] at index [i],
+   whatever domain executed what. Distinct minsup cuts over Table 2
+   have distinct counts, so a misrouted response cannot go unnoticed. *)
 let table2_counts_by_cut =
   (* supports 10,20,30,10,4,7,6,4,3 → entries at count cut c *)
   [| (3, 9); (4, 8); (5, 6); (7, 5); (10, 4); (20, 2); (30, 1) |]
@@ -653,51 +652,45 @@ let test_pool_submission_order () =
   Pool.with_pool ~domains:4 engine (fun pool ->
       check_submission_order (Pool.run pool (count_requests ())))
 
-(* [run_deliver] fires the callback exactly once per request with the
-   same (index, response) pairs the returned array carries — possibly
-   out of submission order, which is the point — and a raising
-   callback surfaces after the batch without losing any result. *)
-let test_pool_run_deliver () =
+(* [submit] fires each request's callback exactly once, with that
+   request's response — possibly out of submission order, which is the
+   point — and a raising callback surfaces at [drain], after every
+   request has still been delivered. *)
+let test_pool_submit_deliver () =
   let engine = Engine.of_lattice (Helpers.table2_lattice ()) in
   Pool.with_pool ~domains:4 engine (fun pool ->
       let reqs = count_requests () in
-      let delivered = Array.make (Array.length reqs) None in
-      let calls = Array.make (Array.length reqs) 0 in
-      let out =
-        Pool.run_deliver pool
-          ~on_complete:(fun i r ->
-            calls.(i) <- calls.(i) + 1;
-            delivered.(i) <- Some r)
-          reqs
-      in
-      check_submission_order (Array.map fst out);
+      let delivered = Array.make (Array.length reqs) (Pool.R_error "none") in
+      let calls = Array.init (Array.length reqs) (fun _ -> Atomic.make 0) in
+      Array.iteri
+        (fun i req ->
+          Pool.submit pool req (fun resp _ ->
+              Atomic.incr calls.(i);
+              delivered.(i) <- resp))
+        reqs;
+      Pool.drain pool;
+      check_submission_order delivered;
       Array.iteri
         (fun i n ->
-          check Alcotest.int (Printf.sprintf "index %d delivered once" i) 1 n)
+          check Alcotest.int
+            (Printf.sprintf "index %d delivered once" i)
+            1 (Atomic.get n))
         calls;
-      Array.iteri
-        (fun i r ->
-          match delivered.(i) with
-          | Some d ->
-            check Alcotest.bool
-              (Printf.sprintf "delivery %d is the returned result" i)
-              true (d == r)
-          | None -> Alcotest.fail "missing delivery")
-        out;
-      (* a raising callback: batch still completes, exception re-raised *)
-      let seen = ref 0 in
-      match
-        Pool.run_deliver pool
-          ~on_complete:(fun _ _ ->
-            incr seen;
-            failwith "callback boom")
-          reqs
-      with
-      | _ -> Alcotest.fail "callback exception must propagate"
+      (* a raising callback: every request still completes, and the
+         exception is re-raised at the drain *)
+      let seen = Atomic.make 0 in
+      Array.iter
+        (fun req ->
+          Pool.submit pool req (fun _ _ ->
+              Atomic.incr seen;
+              failwith "callback boom"))
+        reqs;
+      match Pool.drain pool with
+      | () -> Alcotest.fail "callback exception must propagate"
       | exception Failure msg ->
         check Alcotest.string "the callback's exception" "callback boom" msg;
         check Alcotest.int "every request still delivered"
-          (Array.length reqs) !seen)
+          (Array.length reqs) (Atomic.get seen))
 
 (* Snapshot bookkeeping: each successful [Append] publishes the next
    generation, its completion records that generation, and once the
@@ -969,6 +962,51 @@ let test_disabled_zero_alloc () =
       "disabled session allocated %.0f bytes over 1000 queries vs %.0f direct"
       session_bytes engine_bytes
 
+(* The session's own compute paths are counted queries like every
+   Engine call. Through [Pool.exec] on an enabled obs context, a find at
+   budget 0, and a find, a count and a top-k that miss the cache, each
+   add exactly one to olar_queries_total (the finds and the count each
+   emit one query.itemsets span); a cache hit adds nothing, as for
+   rules. *)
+let test_find_path_telemetry () =
+  let module Obs = Olar_obs.Obs in
+  let module Metrics = Olar_obs.Metrics in
+  let sink, spans = Olar_obs.Sink.memory () in
+  match Obs.create ~trace:sink () with
+  | None -> Alcotest.fail "obs context disabled"
+  | Some ctx as obs ->
+    let engine = Engine.of_lattice ~obs (Helpers.table2_lattice ()) in
+    let queries () =
+      match Metrics.find (Obs.metrics ctx) "olar_queries_total" with
+      | Some { Metrics.metric = Metrics.M_counter c; _ } ->
+        Metrics.Counter.value c
+      | _ -> Alcotest.fail "olar_queries_total missing"
+    in
+    let minsup = 3.0 /. 1000.0 in
+    let find = Pool.Find_itemsets { containing = Itemset.empty; minsup } in
+    let count = Pool.Count_itemsets { containing = set [ 1 ]; minsup } in
+    let step label session req expected =
+      let before = queries () in
+      ignore (Pool.exec session req);
+      check Alcotest.int (label ^ ": olar_queries_total") expected
+        (queries () - before)
+    in
+    step "find at budget 0" (Session.create ~budget_bytes:0 engine) find 1;
+    let cached = Session.create ~budget_bytes:(1 lsl 20) engine in
+    step "find, cache miss" cached find 1;
+    step "find, cache hit" cached find 0;
+    step "count, cache miss" cached count 1;
+    step "count, cache hit" cached count 0;
+    let topk = Pool.Support_for_k_itemsets { containing = Itemset.empty; k = 3 } in
+    step "top-k, cache miss" cached topk 1;
+    step "top-k, cache hit" cached topk 0;
+    Obs.flush ctx;
+    check Alcotest.int "one query.itemsets span per counted query" 3
+      (List.length
+         (List.filter
+            (fun s -> s.Olar_obs.Trace.name = "query.itemsets")
+            (spans ())))
+
 let case name fn = Alcotest.test_case name `Quick fn
 
 let suites =
@@ -998,10 +1036,11 @@ let suites =
         case "traced pool tags spans by domain" test_pool_traced_spans;
         case "shutdown idempotent" test_pool_shutdown_idempotent;
         case "responses land in submission order" test_pool_submission_order;
-        case "run_deliver delivers each result exactly once"
-          test_pool_run_deliver;
+        case "submit delivers each result exactly once"
+          test_pool_submit_deliver;
         case "generations publish and retired snapshots reclaim"
           test_pool_generation_reclaim;
+        case "find path counts every computed query" test_find_path_telemetry;
       ] );
     Helpers.qsuite "serve.pool.diff"
       [
