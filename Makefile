@@ -21,11 +21,11 @@ test-quick:
 bench-smoke:
 	dune build @bench-smoke
 
-# Machine-readable bench output: run the qps, session, concurrent and
-# serve experiments with --json plus the dispatch microbench sweep
-# merged into the same document, validate it with bench/check_json.exe,
-# gate it against the committed baseline (bench/compare_json.exe), run
-# the pool-vs-serial digest stress, the serve -> capture -> replay
+# Machine-readable bench output: one benchmark run (the qps, session,
+# concurrent, append and serve experiments plus the dispatch microbench
+# sweep, merged into bench/bench.json), validated by bench/check_json.exe
+# and gated against the committed baseline by bench/compare_json.exe;
+# then the pool-vs-serial digest stress, the serve -> capture -> replay
 # loopback round trip, the request-tracing smoke and the live-health
 # smoke.
 bench-json:
@@ -60,8 +60,9 @@ trace-smoke:
 health-smoke:
 	dune build @health-smoke
 
-# Perf-regression gate on its own: rerun the benchmark and diff qps
-# against BENCH_T10I4.json (default tolerance -20%).
+# Perf-regression gate on its own: run the benchmark (unless bench.json
+# is up to date) and diff qps against BENCH_T10I4.json (default
+# tolerance -20%).
 bench-compare:
 	dune build @bench-compare
 

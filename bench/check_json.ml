@@ -198,7 +198,15 @@ let () =
             in
             if c < queries then
               fail "serve.%s.phases.%s.count %g < queries %g" name phase c
-                queries)
+                queries;
+            (* one scenario's phases cover that scenario alone: a client
+               may have one query past its last counted answer, no
+               more *)
+            if phase = "execute" && c > queries +. clients then
+              fail
+                "serve.%s.phases.execute.count %g > queries %g + clients %g \
+                 (phases cover earlier scenarios too)"
+                name c queries clients)
           [ "parse"; "queue"; "dispatch"; "execute"; "deliver"; "write" ];
         (* the sliding-window view: rates plus a rolling p99 per phase *)
         check "window.qps" (J.path [ "window"; "qps" ] s);

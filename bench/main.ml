@@ -1184,74 +1184,11 @@ let append_bench config =
    settings dominating); sheds (429/503) are counted in the report but
    not expected at these loads. *)
 
-(* One blocking request/response turn on a persistent connection. *)
-let serve_client_post fd buf off body =
-  let s = Olar_net.Http.render_request ~meth:"POST" ~target:"/query" body in
-  let sb = Bytes.unsafe_of_string s in
-  let rec wr o =
-    if o < String.length s then
-      wr (o + Unix.write fd sb o (String.length s - o))
-  in
-  wr 0;
-  let chunk = Bytes.create 8192 in
-  let rec rd () =
-    match Olar_net.Http.parse_response (Buffer.contents buf) ~off:!off with
-    | Olar_net.Http.Complete (resp, used) ->
-      off := !off + used;
-      if !off = Buffer.length buf then begin
-        Buffer.clear buf;
-        off := 0
-      end;
-      resp.Olar_net.Http.status
-    | Olar_net.Http.Failed _ -> failwith "serve bench: malformed response"
-    | Olar_net.Http.Incomplete -> (
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> failwith "serve bench: connection closed"
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        rd ())
-  in
-  rd ()
-
-(* One blocking GET on a fresh connection; returns the response body. *)
-let serve_client_get port target =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let s = Olar_net.Http.render_request ~meth:"GET" ~target "" in
-  let sb = Bytes.unsafe_of_string s in
-  let rec wr o =
-    if o < String.length s then
-      wr (o + Unix.write fd sb o (String.length s - o))
-  in
-  wr 0;
-  let buf = Buffer.create 8192 in
-  let chunk = Bytes.create 8192 in
-  let rec rd () =
-    match Olar_net.Http.parse_response (Buffer.contents buf) ~off:0 with
-    | Olar_net.Http.Complete (resp, _) -> resp.Olar_net.Http.resp_body
-    | Olar_net.Http.Failed _ -> failwith "serve bench: malformed response"
-    | Olar_net.Http.Incomplete -> (
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> failwith "serve bench: connection closed"
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        rd ())
-  in
-  let body = rd () in
-  (try Unix.close fd with _ -> ());
-  body
-
 let serve_bench config =
   section
     "Network serving: loopback HTTP clients against olar serve\n\
      (end-to-end wire qps: socket + HTTP + admission queue + pool)";
-  (* an obs context so the server starts its eventring consumer: the
-     emitted JSON then carries the gc section next to the windows *)
-  let e =
-    Olar_core.Engine.with_obs
-      (engine config ~t:10 ~i:4 ~primary:0.002)
-      (Olar_obs.Obs.create ())
-  in
+  let e = engine config ~t:10 ~i:4 ~primary:0.002 in
   let lat = Olar_core.Engine.lattice e in
   let singles = Olar_util.Vec.create () in
   Olar_core.Lattice.iter_vertices
@@ -1309,31 +1246,45 @@ let serve_bench config =
     { Olar_net.Server.default_config with Olar_net.Server.port = 0 }
   in
   let run_point bodies clients =
+    (* a fresh obs context per point: the server interns its phase
+       histograms and windows in the engine's registry, so a shared one
+       would make every point's sections cover the points before it.
+       With obs on, the server also starts its eventring consumer, so
+       the JSON carries the gc section next to the windows. *)
+    let e = Olar_core.Engine.with_obs e (Olar_obs.Obs.create ()) in
     Olar_net.Server.with_server ~config:server_cfg ?domains:config.domains
       ~budget_bytes:0 e (fun srv ->
-        let port = Olar_net.Server.port srv in
+        let url = Olar_net.Server.url srv in
         let hist = Olar_obs.Metrics.Histogram.create "wire_latency" in
         let served = Atomic.make 0 and shed = Atomic.make 0 in
         let stop = Atomic.make false in
         let worker ci () =
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-          let buf = Buffer.create 8192 in
-          let off = ref 0 in
+          let fail e = failwith ("serve bench: " ^ e) in
+          let conn =
+            match Olar_net.Client.connect ~url () with
+            | Ok c -> c
+            | Error e -> fail e
+          in
           let k = ref ci in
           while not (Atomic.get stop) do
             let body = bodies.(!k land (stream_len - 1)) in
             k := !k + clients;
             let t0 = Olar_util.Timer.start () in
-            let status = serve_client_post fd buf off body in
+            let resp =
+              match
+                Olar_net.Client.exchange conn ~meth:"POST" ~body "/query"
+              with
+              | Ok r -> r
+              | Error e -> fail e
+            in
             Olar_obs.Metrics.Histogram.observe hist
               (Olar_util.Timer.elapsed_s t0);
-            match status with
+            match resp.Olar_net.Http.status with
             | 200 -> Atomic.incr served
             | 429 | 503 -> Atomic.incr shed
-            | s -> failwith (Printf.sprintf "serve bench: status %d" s)
+            | s -> fail (Printf.sprintf "status %d" s)
           done;
-          try Unix.close fd with _ -> ()
+          Olar_net.Client.close conn
         in
         let budget = 1.0 in
         let timer = Olar_util.Timer.start () in
@@ -1352,9 +1303,14 @@ let serve_bench config =
         let statusz =
           let rec scrape attempts =
             let json =
-              match Jsonx.of_string (serve_client_get port "/statusz") with
-              | Ok json -> json
-              | Error e -> failwith ("serve bench: statusz not JSON: " ^ e)
+              match Olar_net.Client.get ~url "/statusz" with
+              | Ok (200, body) -> (
+                match Jsonx.of_string body with
+                | Ok json -> json
+                | Error e -> failwith ("serve bench: statusz not JSON: " ^ e))
+              | Ok (s, _) ->
+                failwith (Printf.sprintf "serve bench: statusz answered %d" s)
+              | Error e -> failwith ("serve bench: statusz: " ^ e)
             in
             let write_count =
               match

@@ -19,6 +19,7 @@ module Engine = Olar_core.Engine
 module Lattice = Olar_core.Lattice
 module Server = Olar_net.Server
 module Http = Olar_net.Http
+module Client = Olar_net.Client
 module Record = Olar_replay.Record
 module Fnv = Olar_replay.Fnv
 
@@ -108,35 +109,10 @@ let workload engine db num_queries =
             ~k:(1 + Random.State.int rng 20)
         | _ -> key Record.Boundary ~containing:!deepest ~minconf)
 
-(* Minimal blocking loopback client. *)
-let connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  fd
-
-let post fd buf off body =
-  let s = Http.render_request ~meth:"POST" ~target:"/query" body in
-  let sb = Bytes.unsafe_of_string s in
-  let rec wr o =
-    if o < String.length s then
-      wr (o + Unix.write fd sb o (String.length s - o))
-  in
-  wr 0;
-  let chunk = Bytes.create 8192 in
-  let rec rd () =
-    match Http.parse_response (Buffer.contents buf) ~off:!off with
-    | Http.Complete (resp, used) ->
-      off := !off + used;
-      resp.Http.status
-    | Http.Failed { status; reason } -> die "malformed response: %d %s" status reason
-    | Http.Incomplete -> (
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> die "server closed the connection"
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        rd ())
-  in
-  rd ()
+let post conn body =
+  match Client.exchange conn ~meth:"POST" ~body "/query" with
+  | Ok resp -> resp.Http.status
+  | Error e -> die "query failed: %s" e
 
 let () =
   let lattice_path, capture_path, num_queries =
@@ -159,19 +135,21 @@ let () =
   let keys = workload engine db num_queries in
   let served =
     Server.with_server ~config ~domains:2 ~budget_bytes:0 engine (fun srv ->
-        let fd = connect (Server.port srv) in
-        let buf = Buffer.create 8192 in
-        let off = ref 0 in
+        let conn =
+          match Client.connect ~url:(Server.url srv) () with
+          | Ok c -> c
+          | Error e -> die "connect: %s" e
+        in
         let served =
           List.fold_left
             (fun n k ->
               let body = Record.key_to_json_line k in
-              match post fd buf off body with
+              match post conn body with
               | 200 -> n + 1
               | s -> die "query %d answered %d (body %s)" n s body)
             0 keys
         in
-        (try Unix.close fd with _ -> ());
+        Client.close conn;
         served)
   in
   if served <> num_queries then

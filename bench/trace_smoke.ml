@@ -16,6 +16,7 @@ open Olar_data
 module Engine = Olar_core.Engine
 module Server = Olar_net.Server
 module Http = Olar_net.Http
+module Client = Olar_net.Client
 module Record = Olar_replay.Record
 module Fnv = Olar_replay.Fnv
 module Jsonx = Olar_obs.Jsonx
@@ -70,34 +71,10 @@ let workload engine n =
       | 1 -> key Record.Find_itemsets ~minsup
       | _ -> key Record.Essential_rules ~minsup ~minconf:0.3)
 
-(* Minimal blocking loopback client. *)
-let connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  fd
-
-let roundtrip fd buf off s =
-  let sb = Bytes.unsafe_of_string s in
-  let rec wr o =
-    if o < String.length s then wr (o + Unix.write fd sb o (String.length s - o))
-  in
-  wr 0;
-  let chunk = Bytes.create 8192 in
-  let rec rd () =
-    match Http.parse_response (Buffer.contents buf) ~off:!off with
-    | Http.Complete (resp, used) ->
-      off := !off + used;
-      resp
-    | Http.Failed { status; reason } ->
-      die "malformed response: %d %s" status reason
-    | Http.Incomplete -> (
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> die "server closed the connection"
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        rd ())
-  in
-  rd ()
+let exchange conn ~meth ?body target =
+  match Client.exchange conn ~meth ?body target with
+  | Ok resp -> resp
+  | Error e -> die "%s %s failed: %s" meth target e
 
 let phase_names =
   [ "phase.parse"; "phase.queue"; "phase.dispatch"; "phase.execute";
@@ -124,25 +101,23 @@ let () =
   let keys = workload engine num_queries in
   let statusz =
     Server.with_server ~config ~domains:2 ~budget_bytes:0 engine (fun srv ->
-        let fd = connect (Server.port srv) in
-        let buf = Buffer.create 8192 in
-        let off = ref 0 in
+        let conn =
+          match Client.connect ~url:(Server.url srv) () with
+          | Ok c -> c
+          | Error e -> die "connect: %s" e
+        in
         List.iteri
           (fun i k ->
             let body = Record.key_to_json_line k in
-            let resp =
-              roundtrip fd buf off
-                (Http.render_request ~meth:"POST" ~target:"/query" body)
-            in
+            let resp = exchange conn ~meth:"POST" ~body "/query" in
             if resp.Http.status <> 200 then
               die "query %d answered %d (body %s)" i resp.Http.status body)
           keys;
-        let sz =
-          roundtrip fd buf off
-            (Http.render_request ~meth:"GET" ~target:"/statusz" "")
-        in
+        (* on the same connection, so the last query's write phase is
+           booked before /statusz is rendered *)
+        let sz = exchange conn ~meth:"GET" "/statusz" in
         if sz.Http.status <> 200 then die "statusz answered %d" sz.Http.status;
-        (try Unix.close fd with _ -> ());
+        Client.close conn;
         sz.Http.resp_body)
   in
   (* with_server stopped the daemon, which flushed every domain's span

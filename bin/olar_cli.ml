@@ -1441,8 +1441,7 @@ let serve_cmd =
     let engine = or_die (load_engine ~obs lattice_path) in
     let config =
       {
-        Olar_net.Server.default_config with
-        host;
+        Olar_net.Server.host;
         port;
         queue_depth;
         deadline_s = deadline_ms /. 1000.0;

@@ -148,9 +148,13 @@ let fields line n =
   if List.length parts <> n || List.exists (fun p -> p = "") parts then None
   else Some parts
 
-let body_slice buf ~len ~max_body headers pos =
+(* The body length a head declares: [Content-Length], or 0 without one
+   — for requests and responses alike. *)
+let body_length ~max_body headers =
   reject_transfer_encoding headers;
-  let blen = content_length ~max_body headers in
+  content_length ~max_body headers
+
+let body_slice buf ~len blen pos =
   if len - pos < blen then raise More;
   (String.sub buf pos blen, pos + blen)
 
@@ -181,42 +185,71 @@ let parse_request ?(max_head = default_max_head) ?(max_body = default_max_body)
           let headers, pos =
             read_headers buf ~len ~max_head ~head_start:off pos
           in
-          let body, pos = body_slice buf ~len ~max_body headers pos in
+          let body, pos =
+            body_slice buf ~len (body_length ~max_body headers) pos
+          in
           Complete ({ meth; target; headers; body }, pos - off)
         | Some _ -> err 400 "malformed request line")
+
+let parse_head ~max_head ~max_body buf ~off =
+  let len = String.length buf in
+  if off < 0 || off > len then err 400 "offset out of bounds";
+  let line, pos = read_line buf ~len off in
+  if pos - off > max_head then err 431 "status line too long";
+  let version, status, reason =
+    (* status line: HTTP/1.x SP 3DIGIT SP reason (reason may hold
+       spaces, or be empty) *)
+    match String.index_opt line ' ' with
+    | None -> err 400 "malformed status line"
+    | Some sp1 ->
+      let version = String.sub line 0 sp1 in
+      let rest = String.sub line (sp1 + 1) (String.length line - sp1 - 1) in
+      let code, reason =
+        match String.index_opt rest ' ' with
+        | None -> (rest, "")
+        | Some sp2 ->
+          ( String.sub rest 0 sp2,
+            String.sub rest (sp2 + 1) (String.length rest - sp2 - 1) )
+      in
+      if
+        String.length code <> 3
+        || not (String.for_all (fun c -> c >= '0' && c <= '9') code)
+      then err 400 "malformed status code";
+      (version, int_of_string code, reason)
+  in
+  check_version version;
+  let resp_headers, pos = read_headers buf ~len ~max_head ~head_start:off pos in
+  ( { status; reason; resp_headers; resp_body = "" },
+    body_length ~max_body resp_headers,
+    pos )
+
+let parse_response_head ?(max_head = default_max_head)
+    ?(max_body = default_max_body) buf ~off =
+  guard (fun () ->
+      let resp, body_length, pos = parse_head ~max_head ~max_body buf ~off in
+      Complete ((resp, body_length), pos - off))
 
 let parse_response ?(max_head = default_max_head)
     ?(max_body = default_max_body) buf ~off =
   guard (fun () ->
-      let len = String.length buf in
-      if off < 0 || off > len then err 400 "offset out of bounds";
-      let line, pos = read_line buf ~len off in
-      if pos - off > max_head then err 431 "status line too long";
-      let version, status, reason =
-        (* status line: HTTP/1.x SP 3DIGIT SP reason (reason may hold
-           spaces, or be empty) *)
-        match String.index_opt line ' ' with
-        | None -> err 400 "malformed status line"
-        | Some sp1 ->
-          let version = String.sub line 0 sp1 in
-          let rest = String.sub line (sp1 + 1) (String.length line - sp1 - 1) in
-          let code, reason =
-            match String.index_opt rest ' ' with
-            | None -> (rest, "")
-            | Some sp2 ->
-              ( String.sub rest 0 sp2,
-                String.sub rest (sp2 + 1) (String.length rest - sp2 - 1) )
-          in
-          if
-            String.length code <> 3
-            || not (String.for_all (fun c -> c >= '0' && c <= '9') code)
-          then err 400 "malformed status code";
-          (version, int_of_string code, reason)
-      in
-      check_version version;
-      let resp_headers, pos = read_headers buf ~len ~max_head ~head_start:off pos in
-      let resp_body, pos = body_slice buf ~len ~max_body resp_headers pos in
-      Complete ({ status; reason; resp_headers; resp_body }, pos - off))
+      let resp, blen, pos = parse_head ~max_head ~max_body buf ~off in
+      let resp_body, pos = body_slice buf ~len:(String.length buf) blen pos in
+      Complete ({ resp with resp_body }, pos - off))
+
+(* The blank line ending a head: LF LF, or LF CR LF (bare LF tolerated,
+   as in [read_line]). A caller that appends bytes resumes at two bytes
+   before the old end, so a terminator split across reads is found and
+   no byte is scanned more than three times. *)
+let head_end buf ~from ~len =
+  let at i c = i < len && Bytes.get buf i = c in
+  let rec go i =
+    if i >= len then None
+    else if not (at i '\n') then go (i + 1)
+    else if at (i + 1) '\n' then Some (i + 2)
+    else if at (i + 1) '\r' && at (i + 2) '\n' then Some (i + 3)
+    else go (i + 1)
+  in
+  go (max 0 from)
 
 let header req name = List.assoc_opt name req.headers
 let response_header resp name = List.assoc_opt name resp.resp_headers

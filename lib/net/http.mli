@@ -4,8 +4,8 @@
     sockets with zero external dependencies, so the wire format lives
     here: an incremental request parser (the server side), a response
     serializer, and the mirror pair — request serializer and incremental
-    response parser — used by loopback clients in the tests and the
-    bench harness.
+    response parser — used by {!Client}, the one HTTP client in the
+    repository.
 
     {2 Parsing model}
 
@@ -26,7 +26,8 @@
     (leading SP/HTAB) are unfolded into the previous header value with a
     single space, per RFC 7230 §3.2.4. Header names are lowercased.
     Bodies are delimited by [Content-Length] only — a missing
-    [Content-Length] means an empty body, conflicting duplicates are
+    [Content-Length] means an empty body, in requests and responses
+    alike (a response is never read to EOF), conflicting duplicates are
     rejected, and values that are non-numeric, negative, overflowing, or
     larger than [max_body] are rejected before any body byte is
     buffered. [Transfer-Encoding] is not implemented and is rejected
@@ -65,11 +66,32 @@ val parse_request :
   ?max_head:int -> ?max_body:int -> string -> off:int -> request parse
 
 (** [parse_response buf ~off] parses one response starting at [off];
-    same budgets and tolerances as {!parse_request}. A response with
-    neither [Content-Length] nor a close-delimited body is taken as
-    empty-bodied (the server side here always sends [Content-Length]). *)
+    same budgets and tolerances as {!parse_request}. A response without
+    [Content-Length] has an empty body (the server side here always
+    sends the header). *)
 val parse_response :
   ?max_head:int -> ?max_body:int -> string -> off:int -> response parse
+
+(** [parse_response_head buf ~off] is the first half of
+    {!parse_response}: the status line and headers only, with the same
+    grammar and budgets. [Complete ((resp, n), used)] gives the response
+    with an empty [resp_body], the body length [n] its headers declare
+    (0 without [Content-Length]), and the head's size [used]; the body
+    starts at [off + used]. Lets a reader that already found the end of
+    the head ({!head_end}) parse it once and then read exactly [n] body
+    bytes, instead of re-parsing a growing buffer. *)
+val parse_response_head :
+  ?max_head:int -> ?max_body:int -> string -> off:int -> (response * int) parse
+
+(** [head_end buf ~from ~len] is the offset just past the first blank
+    line ([LF LF] or [LF CR LF]) that ends a head in [buf], scanning
+    bytes [from .. len-1]. After appending bytes at [len], resume at
+    [len - 2] (not earlier than the head's start): a terminator split
+    across reads is still found and earlier bytes are not rescanned. *)
+val head_end : Bytes.t -> from:int -> len:int -> int option
+
+(** The default [max_head] budget (16 KiB). *)
+val default_max_head : int
 
 (** [header req name] is the value of the first header named [name]
     (give [name] lowercased). *)

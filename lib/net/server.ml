@@ -18,10 +18,8 @@ module Runtime_obs = Olar_obs.Runtime_obs
 type config = {
   host : string;
   port : int;
-  backlog : int;
   queue_depth : int;
   deadline_s : float;
-  max_body_bytes : int;
   record : string option;
   trace_sample : int;
   slow_s : float;
@@ -33,16 +31,16 @@ let default_config =
   {
     host = "127.0.0.1";
     port = 0;
-    backlog = 64;
     queue_depth = 256;
     deadline_s = 0.0;
-    max_body_bytes = 4 * 1024 * 1024;
     record = None;
     trace_sample = 0;
     slow_s = infinity;
     slow_ring = 64;
     slo_p99_s = 0.0;
   }
+
+let listen_backlog = 64
 
 (* The six attribution phases of one wire request, in wall-clock order.
    parse:    HTTP parse + query-key decode on the connection thread
@@ -588,39 +586,34 @@ let finish_query t ticket ~status ~sampled ~phases ~write_s =
 (* /statusz                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The count/p50/p90/p99 summary every /statusz histogram renders in,
+   cumulative ([extra] = the time sum) or windowed ([extra] = the
+   event rate). Quantiles are seconds, rendered as microseconds. *)
+let summary_json ~count extra ~p50 ~p90 ~p99 =
+  let us x = Jsonx.Float (if Float.is_finite x then x *. 1e6 else 0.0) in
+  Jsonx.Obj
+    ((("count", Jsonx.Int count) :: extra)
+    @ [ ("p50_us", us p50); ("p90_us", us p90); ("p99_us", us p99) ])
+
+let hist_json h =
+  let q = Metrics.Histogram.quantile h in
+  summary_json
+    ~count:(Metrics.Histogram.count h)
+    [ ("sum_s", Jsonx.Float (Metrics.Histogram.sum h)) ]
+    ~p50:(q 0.5) ~p90:(q 0.9) ~p99:(q 0.99)
+
+let hist_window_json (w : Window.hist_window) =
+  summary_json ~count:w.count
+    [ ("rate", Jsonx.Float w.rate) ]
+    ~p50:w.p50 ~p90:w.p90 ~p99:w.p99
+
 (* Phase-histogram summaries: a Jsonx-parseable view of the six
    olar_http_phase_seconds series, so tooling (the bench harness) can
    read phase latencies without parsing Prometheus text. *)
 let phases_json t =
-  let us x = Jsonx.Float (if Float.is_finite x then x *. 1e6 else 0.0) in
   Jsonx.Obj
     (Array.to_list
-       (Array.mapi
-          (fun i name ->
-            let h = t.h_phase.(i) in
-            ( name,
-              Jsonx.Obj
-                [
-                  ("count", Jsonx.Int (Metrics.Histogram.count h));
-                  ("sum_s", Jsonx.Float (Metrics.Histogram.sum h));
-                  ("p50_us", us (Metrics.Histogram.quantile h 0.5));
-                  ("p90_us", us (Metrics.Histogram.quantile h 0.9));
-                  ("p99_us", us (Metrics.Histogram.quantile h 0.99));
-                ] ))
-          phase_names))
-
-(* One windowed-histogram summary in the same shape as [phases_json]'s
-   cumulative ones, plus the window's event rate. *)
-let hist_window_json (w : Window.hist_window) =
-  let us x = Jsonx.Float (if Float.is_finite x then x *. 1e6 else 0.0) in
-  Jsonx.Obj
-    [
-      ("count", Jsonx.Int w.Window.count);
-      ("rate", Jsonx.Float w.Window.rate);
-      ("p50_us", us w.Window.p50);
-      ("p90_us", us w.Window.p90);
-      ("p99_us", us w.Window.p99);
-    ]
+       (Array.mapi (fun i name -> (name, hist_json t.h_phase.(i))) phase_names))
 
 (* The rolling view: per-second rates and windowed quantiles over the
    last window span, where everything above is process-cumulative. *)
@@ -661,8 +654,8 @@ let gc_json t =
       ]
   | _ -> Jsonx.Null
 
-let health_json t =
-  let state, reading = health_state t in
+(* The /healthz body and the /statusz "health" section. *)
+let health_json (state, reading) =
   Jsonx.Obj
     [
       ("state", Jsonx.Str (Health.state_name state));
@@ -749,18 +742,6 @@ let statusz_json t =
                 ])
             (Pool.domain_stats t.pool)))
   in
-  let dispatch_json =
-    let h = Pool.dispatch_wait t.pool in
-    let us x = Jsonx.Float (if Float.is_finite x then x *. 1e6 else 0.0) in
-    Jsonx.Obj
-      [
-        ("count", Jsonx.Int (Metrics.Histogram.count h));
-        ("sum_s", Jsonx.Float (Metrics.Histogram.sum h));
-        ("p50_us", us (Metrics.Histogram.quantile h 0.5));
-        ("p90_us", us (Metrics.Histogram.quantile h 0.9));
-        ("p99_us", us (Metrics.Histogram.quantile h 0.99));
-      ]
-  in
   let shards_json =
     Jsonx.Arr
       (Array.to_list
@@ -792,12 +773,12 @@ let statusz_json t =
             ("shed_deadline", Jsonx.Int (Counter.value t.c_shed_deadline));
           ] );
       ("pool", pool_json);
-      ("dispatch", dispatch_json);
+      ("dispatch", hist_json (Pool.dispatch_wait t.pool));
       ("shards", shards_json);
       ("phases", phases_json t);
       ("window", window_json t);
       ("gc", gc_json t);
-      ("health", health_json t);
+      ("health", health_json (health_state t));
       ( "slow",
         Jsonx.Obj
           [
@@ -945,23 +926,10 @@ let handle_query t ~rid ~t0 body =
    naive probes keep routing while the reasons are on display —
    unhealthy answers 503 so load balancers pull the instance. *)
 let healthz t =
-  let state, reading = health_state t in
-  let body =
-    Jsonx.to_string
-      (Jsonx.Obj
-         [
-           ("state", Jsonx.Str (Health.state_name state));
-           ( "reasons",
-             Jsonx.Arr (List.map (fun r -> Jsonx.Str r) (Health.reasons state))
-           );
-           ("window_s", Jsonx.Float reading.Health.window_s);
-           ("queries", Jsonx.Int (Health.arrivals reading));
-           ("executed", Jsonx.Int reading.Health.executed);
-           ("shed", Jsonx.Int reading.Health.shed);
-         ])
-    ^ "\n"
-  in
-  (Health.status_code state, json_headers, body)
+  let ((state, _) as verdict) = health_state t in
+  ( Health.status_code state,
+    json_headers,
+    Jsonx.to_string (health_json verdict) ^ "\n" )
 
 (* The GET status/headers/body of each read-only endpoint, shared by
    HEAD (which renders the same status/headers with the body
@@ -1006,22 +974,14 @@ let handle t (req : Http.request) ~rid ~t0 =
 (* Connection I/O                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let write_all fd s =
-  let len = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let rec go off =
-    if off < len then
-      let n = Unix.write fd b off (len - off) in
-      go (off + n)
-  in
-  go 0
-
+(* Reads and writes retry EINTR (Client's helpers), so the signal that
+   starts a graceful drain cannot cut a response short. *)
 let conn_loop t fd =
   let buf = Buffer.create 4096 in
   let chunk = Bytes.create 8192 in
   let off = ref 0 in
   let closed = ref false in
-  let send s = try write_all fd s with _ -> closed := true in
+  let send s = try Client.write_all fd s with _ -> closed := true in
   (try
      while not !closed do
        (* serve every complete pipelined request already buffered *)
@@ -1032,8 +992,7 @@ let conn_loop t fd =
             attributed — parse covers the final parse + key decode *)
          let pt0 = Timer.monotonic_s () in
          match
-           Http.parse_request ~max_body:t.cfg.max_body_bytes
-             (Buffer.contents buf) ~off:!off
+           Http.parse_request (Buffer.contents buf) ~off:!off
          with
          | Http.Complete (req, used) ->
            off := !off + used;
@@ -1071,7 +1030,7 @@ let conn_loop t fd =
            closed := true
        done;
        if not !closed then
-         match Unix.read fd chunk 0 (Bytes.length chunk) with
+         match Client.read fd chunk 0 (Bytes.length chunk) with
          | 0 -> closed := true
          | n -> Buffer.add_subbytes buf chunk 0 n
          | exception _ -> closed := true
@@ -1130,7 +1089,7 @@ let create ?(config = default_config) ?domains ?budget_bytes engine =
      Unix.setsockopt lsock Unix.SO_REUSEADDR true;
      Unix.bind lsock
        (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-     Unix.listen lsock config.backlog
+     Unix.listen lsock listen_backlog
    with e ->
      (try Unix.close lsock with _ -> ());
      Pool.shutdown pool;

@@ -11,7 +11,8 @@
     the domain lock); the domains do the query work. Ticket records
     (one per in-flight query, carrying its mutex/condvar pair) are
     pooled and reused, so the steady-state serving path allocates no
-    synchronization objects.
+    synchronization objects. The listen backlog is 64 and request bodies
+    are capped at {!Http.parse_request}'s default (4 MiB; 413 above).
 
     {2 Endpoints}
 
@@ -37,8 +38,12 @@
       dedicated systhread that doubles as the idle-time heartbeat for
       the sliding windows and sampled gauges.
     - [GET /healthz] — the {!Health} engine's verdict over the last
-      minute of sliding-window telemetry, as JSON
-      ([{"state":..,"reasons":[..],..}]): [200] with state ["ok"] or
+      minute of sliding-window telemetry, as JSON: the body is exactly
+      the ["health"] section of [/statusz]
+      ([{"state":..,"reasons":[..],"window_s":..,"queries":..,
+      "executed":..,"shed":..,"http_5xx":..,"exec_p99_ms":..}],
+      [exec_p99_ms] [null] while the window holds no execution):
+      [200] with state ["ok"] or
       ["degraded"] (reasons listed, e.g. a shed rate over 1%), [503]
       with state ["unhealthy"] once a check crosses its hard limit —
       so load balancers pull the instance while operators read why.
@@ -105,12 +110,10 @@
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** [0] binds an ephemeral port — read it back with {!port} *)
-  backlog : int;  (** listen backlog, default 64 *)
   queue_depth : int;
       (** admission-queue bound; at capacity new queries shed with 429 *)
   deadline_s : float;
       (** per-request deadline from arrival; [0.] disables (default) *)
-  max_body_bytes : int;  (** request-body cap, default 4 MiB *)
   record : string option;  (** append served queries to this jsonl file *)
   trace_sample : int;
       (** emit a per-request trace for every Nth query (request ids

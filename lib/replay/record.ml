@@ -12,7 +12,7 @@ type kind =
   | Boundary
   | Append
 
-type cache_path =
+type cache_path = Olar_serve.Session.path =
   | Hit
   | Refine
   | Miss
@@ -82,64 +82,57 @@ let cache_path_of_string = function
 let itemset_json x =
   Jsonx.Arr (List.map (fun i -> Jsonx.Int i) (Itemset.to_list x))
 
+(* The query key's fields, in wire order; empty ones are omitted. Both
+   encoders below are built from this one list. *)
+let key_fields r =
+  let itemset name x =
+    if Itemset.is_empty x then [] else [ (name, itemset_json x) ]
+  in
+  let opt name f = function Some v -> [ (name, f v) ] | None -> [] in
+  List.concat
+    [
+      [ ("kind", Jsonx.Str (kind_to_string r.kind)) ];
+      itemset "containing" r.containing;
+      itemset "antecedent" r.antecedent_includes;
+      itemset "consequent" r.consequent_includes;
+      (if r.allow_empty_antecedent then [ ("allow_empty", Jsonx.Bool true) ]
+       else []);
+      opt "minsup" (fun s -> Jsonx.Float s) r.minsup;
+      opt "minconf" (fun c -> Jsonx.Float c) r.minconf;
+      opt "k" (fun k -> Jsonx.Int k) r.k;
+      (if r.delta = [] then []
+       else
+         [
+           ( "delta",
+             Jsonx.Arr
+               (List.map
+                  (fun txn -> Jsonx.Arr (List.map (fun i -> Jsonx.Int i) txn))
+                  r.delta) );
+         ]);
+      (if r.delta_num_items > 0 then
+         [ ("num_items", Jsonx.Int r.delta_num_items) ]
+       else []);
+    ]
+
 let to_json_line r =
-  let fields = ref [] in
-  let add k v = fields := (k, v) :: !fields in
-  add "v" (Jsonx.Int 1);
-  add "seq" (Jsonx.Int r.seq);
-  add "kind" (Jsonx.Str (kind_to_string r.kind));
-  if not (Itemset.is_empty r.containing) then
-    add "containing" (itemset_json r.containing);
-  if not (Itemset.is_empty r.antecedent_includes) then
-    add "antecedent" (itemset_json r.antecedent_includes);
-  if not (Itemset.is_empty r.consequent_includes) then
-    add "consequent" (itemset_json r.consequent_includes);
-  if r.allow_empty_antecedent then add "allow_empty" (Jsonx.Bool true);
-  (match r.minsup with Some s -> add "minsup" (Jsonx.Float s) | None -> ());
-  (match r.minconf with Some c -> add "minconf" (Jsonx.Float c) | None -> ());
-  (match r.k with Some k -> add "k" (Jsonx.Int k) | None -> ());
-  if r.delta <> [] then
-    add "delta"
-      (Jsonx.Arr
-         (List.map
-            (fun txn -> Jsonx.Arr (List.map (fun i -> Jsonx.Int i) txn))
-            r.delta));
-  if r.delta_num_items > 0 then add "num_items" (Jsonx.Int r.delta_num_items);
-  add "cache" (Jsonx.Str (cache_path_to_string r.cache));
-  add "digest" (Jsonx.Str (Fnv.to_hex r.digest));
-  add "size" (Jsonx.Int r.result_size);
-  add "lat_s" (Jsonx.Float r.latency_s);
-  add "vertices" (Jsonx.Int r.vertices);
-  add "pops" (Jsonx.Int r.heap_pops);
-  add "epoch" (Jsonx.Int r.epoch);
-  Jsonx.to_string (Jsonx.Obj (List.rev !fields))
+  Jsonx.to_string
+    (Jsonx.Obj
+       ((("v", Jsonx.Int 1) :: ("seq", Jsonx.Int r.seq) :: key_fields r)
+       @ [
+           ("cache", Jsonx.Str (cache_path_to_string r.cache));
+           ("digest", Jsonx.Str (Fnv.to_hex r.digest));
+           ("size", Jsonx.Int r.result_size);
+           ("lat_s", Jsonx.Float r.latency_s);
+           ("vertices", Jsonx.Int r.vertices);
+           ("pops", Jsonx.Int r.heap_pops);
+           ("epoch", Jsonx.Int r.epoch);
+         ]))
 
 (* The key alone — the wire body of the serving daemon's POST /query.
    Outcome fields (digest, latency, work, cache path) describe an
    execution that has not happened yet, so they are simply absent. *)
 let key_to_json_line r =
-  let fields = ref [] in
-  let add k v = fields := (k, v) :: !fields in
-  add "v" (Jsonx.Int 1);
-  add "kind" (Jsonx.Str (kind_to_string r.kind));
-  if not (Itemset.is_empty r.containing) then
-    add "containing" (itemset_json r.containing);
-  if not (Itemset.is_empty r.antecedent_includes) then
-    add "antecedent" (itemset_json r.antecedent_includes);
-  if not (Itemset.is_empty r.consequent_includes) then
-    add "consequent" (itemset_json r.consequent_includes);
-  if r.allow_empty_antecedent then add "allow_empty" (Jsonx.Bool true);
-  (match r.minsup with Some s -> add "minsup" (Jsonx.Float s) | None -> ());
-  (match r.minconf with Some c -> add "minconf" (Jsonx.Float c) | None -> ());
-  (match r.k with Some k -> add "k" (Jsonx.Int k) | None -> ());
-  if r.delta <> [] then
-    add "delta"
-      (Jsonx.Arr
-         (List.map
-            (fun txn -> Jsonx.Arr (List.map (fun i -> Jsonx.Int i) txn))
-            r.delta));
-  if r.delta_num_items > 0 then add "num_items" (Jsonx.Int r.delta_num_items);
-  Jsonx.to_string (Jsonx.Obj (List.rev !fields))
+  Jsonx.to_string (Jsonx.Obj (("v", Jsonx.Int 1) :: key_fields r))
 
 (* ------------------------------------------------------------------ *)
 (* Decoding (strict)                                                  *)

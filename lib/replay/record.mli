@@ -24,7 +24,10 @@ type kind =
   | Boundary
   | Append
 
-type cache_path =
+(** How the session served the query: the session's own
+    {!Olar_serve.Session.path}, re-exported so records and sessions share
+    one type. *)
+type cache_path = Olar_serve.Session.path =
   | Hit
   | Refine
   | Miss

@@ -138,12 +138,6 @@ let key_of_request = function
 
 let value = function Some c -> Counter.value c | None -> 0
 
-let path_of = function
-  | Session.Hit -> Record.Hit
-  | Session.Refine -> Record.Refine
-  | Session.Miss -> Record.Miss
-  | Session.Passthrough -> Record.Passthrough
-
 (* An exception from [Pool.exec] propagates before any record is
    built, so a raising query emits nothing and takes no seq. *)
 let exec t req =
@@ -161,7 +155,7 @@ let exec t req =
       {
         (key_of_request req) with
         Record.seq;
-        cache = path_of (Session.last_path t.session);
+        cache = Session.last_path t.session;
         digest = Option.value ~default:Fnv.empty (digest_response resp);
         result_size = result_size resp;
         latency_s;

@@ -96,6 +96,44 @@ let test_pool () =
     (fun pool ->
       expect_clean "2-domain pool" (Replay.run_pool pool (Lazy.force records)))
 
+(* The codec is pinned byte for byte: every committed line re-encodes
+   to exactly itself, and each record's key alone (the wire body of
+   POST /query) decodes back to the same key. *)
+let test_reencode () =
+  let lines =
+    In_channel.with_open_text (log_path ()) In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  check Alcotest.int "line count" 320 (List.length lines);
+  List.iter
+    (fun line ->
+      match Record.of_json_line line with
+      | Error e -> Alcotest.failf "golden line rejected: %s" e
+      | Ok r -> (
+        check Alcotest.string "re-encodes byte-identically" line
+          (Record.to_json_line r);
+        let key_only =
+          {
+            r with
+            Record.seq = 0;
+            cache = Record.Passthrough;
+            digest = Olar_replay.Fnv.empty;
+            result_size = 0;
+            latency_s = 0.0;
+            vertices = 0;
+            heap_pops = 0;
+            epoch = 0;
+          }
+        in
+        match Record.key_of_json_line (Record.key_to_json_line r) with
+        | Error e -> Alcotest.failf "key line rejected: %s" e
+        | Ok k ->
+          check Alcotest.bool
+            ("key round-trips: " ^ Record.key_to_json_line r)
+            true (k = key_only)))
+    lines
+
 let case name fn = Alcotest.test_case name `Quick fn
 
 let suites =
@@ -106,5 +144,6 @@ let suites =
         case "serial replay, cache off" (test_serial 0);
         case "serial replay, 8 MiB cache" (test_serial (8 lsl 20));
         case "2-domain pool replay" test_pool;
+        case "records re-encode byte-identically" test_reencode;
       ] );
   ]

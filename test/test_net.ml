@@ -5,6 +5,7 @@
 
 module Http = Olar_net.Http
 module Server = Olar_net.Server
+module Client = Olar_net.Client
 module Session = Olar_serve.Session
 module Engine = Olar_core.Engine
 module Record = Olar_replay.Record
@@ -167,6 +168,68 @@ let test_response_round_trip () =
     check Alcotest.int "fully consumed" (String.length s) used
   | _ -> Alcotest.fail "rendered response must parse"
 
+(* One rule for a response without Content-Length, shared with the
+   client: the body is empty, and whatever follows the head is the next
+   message. *)
+let test_response_without_content_length () =
+  let head = "HTTP/1.1 200 OK\r\nx-a: 1\r\n\r\n" in
+  let s = head ^ "HTTP/1.1 204 No Content\r\n\r\n" in
+  (match Http.parse_response s ~off:0 with
+  | Http.Complete (resp, used) ->
+    check Alcotest.string "empty body" "" resp.Http.resp_body;
+    check Alcotest.int "head only consumed" (String.length head) used
+  | _ -> Alcotest.fail "response without content-length must parse");
+  match Http.parse_response_head s ~off:0 with
+  | Http.Complete ((resp, n), used) ->
+    check Alcotest.int "declared body length" 0 n;
+    check Alcotest.int "status" 200 resp.Http.status;
+    check Alcotest.int "head size" (String.length head) used
+  | _ -> Alcotest.fail "head must parse"
+
+(* The head parser reads the same grammar as [parse_response], and the
+   terminator scan finds CRLF and bare-LF blank lines wherever a read
+   boundary splits them. *)
+let test_response_head_and_head_end () =
+  let s =
+    Http.render_response ~headers:[ ("x-k", "v") ] ~status:200 "0123456789"
+  in
+  (match Http.parse_response_head s ~off:0 with
+  | Http.Complete ((resp, n), used) ->
+    check Alcotest.int "body length" 10 n;
+    check Alcotest.string "body starts after the head" "0123456789"
+      (String.sub s used (String.length s - used));
+    check Alcotest.(option string) "header kept" (Some "v")
+      (Http.response_header resp "x-k")
+  | _ -> Alcotest.fail "rendered head must parse");
+  (match
+     Http.parse_response_head
+       "HTTP/1.1 200 OK\r\ncontent-length: x\r\n\r\n" ~off:0
+   with
+  | Http.Failed { status; _ } ->
+    check Alcotest.int "bad length rejected" 400 status
+  | _ -> Alcotest.fail "malformed content-length accepted");
+  List.iter
+    (fun head ->
+      let expect = String.length head in
+      let b = Bytes.of_string (head ^ "body") in
+      let len = Bytes.length b in
+      check Alcotest.(option int) ("whole " ^ String.escaped head) (Some expect)
+        (Http.head_end b ~from:0 ~len);
+      (* every split point: scan the prefix, then resume two bytes
+         before its end over the rest *)
+      for cut = 0 to String.length head do
+        match Http.head_end b ~from:0 ~len:cut with
+        | Some e -> check Alcotest.int "prefix hit is the end" expect e
+        | None ->
+          check Alcotest.(option int) "resumed scan" (Some expect)
+            (Http.head_end b ~from:(cut - 2) ~len)
+      done)
+    [
+      "HTTP/1.1 200 OK\r\na: b\r\n\r\n";
+      "HTTP/1.1 200 OK\na: b\n\n";
+      "HTTP/1.1 200 OK\r\n\r\n";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Parser properties                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -262,48 +325,20 @@ let pipeline_prop =
       go 0 reqs)
 
 (* ------------------------------------------------------------------ *)
-(* Loopback client                                                    *)
+(* Loopback: the wire through Olar_net.Client                         *)
 (* ------------------------------------------------------------------ *)
 
-type conn = { fd : Unix.file_descr; buf : Buffer.t; mutable off : int }
+let ok what = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %s" what e
 
-let connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  { fd; buf = Buffer.create 4096; off = 0 }
-
-let disconnect conn = try Unix.close conn.fd with _ -> ()
-
-let send_all conn s =
-  let b = Bytes.unsafe_of_string s in
-  let len = String.length s in
-  let rec go off =
-    if off < len then go (off + Unix.write conn.fd b off (len - off))
-  in
-  go 0
-
-(* Read (possibly across several reads) until one full response parses. *)
-let recv_response conn =
-  let chunk = Bytes.create 4096 in
-  let rec go () =
-    match Http.parse_response (Buffer.contents conn.buf) ~off:conn.off with
-    | Http.Complete (resp, used) ->
-      conn.off <- conn.off + used;
-      resp
-    | Http.Failed { status; reason } ->
-      Alcotest.failf "malformed response from server: %d %s" status reason
-    | Http.Incomplete -> (
-      match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-      | 0 -> Alcotest.fail "server closed the connection mid-response"
-      | n ->
-        Buffer.add_subbytes conn.buf chunk 0 n;
-        go ())
-  in
-  go ()
+let connect srv = ok "connect" (Client.connect ~url:(Server.url srv) ())
+let disconnect = Client.close
+let send_all conn s = ok "send" (Client.send conn s)
+let recv_response conn = ok "receive" (Client.recv conn)
 
 let request conn ~meth ~target body =
-  send_all conn (Http.render_request ~meth ~target body);
-  recv_response conn
+  ok (meth ^ " " ^ target) (Client.exchange conn ~meth ~body target)
 
 let post_query conn body = request conn ~meth:"POST" ~target:"/query" body
 
@@ -381,7 +416,7 @@ let test_wire_differential () =
       ~budget_bytes:(1 lsl 20)
       (table2_engine ())
       (fun srv ->
-        let conn = connect (Server.port srv) in
+        let conn = connect srv in
         let out =
           List.map
             (fun key ->
@@ -432,7 +467,7 @@ let test_wire_error_matches_serial () =
     ~config:{ default_cfg with Server.port = 0 }
     (table2_engine ())
     (fun srv ->
-      let conn = connect (Server.port srv) in
+      let conn = connect srv in
       let resp = post_query conn {|{"kind":"count","minsup":0.0001}|} in
       check Alcotest.int "below-threshold is 422" 422 resp.Http.status;
       let serial = Session.create ~budget_bytes:0 (table2_engine ()) in
@@ -451,7 +486,7 @@ let test_wire_pipelining () =
     ~config:{ default_cfg with Server.port = 0 }
     (table2_engine ())
     (fun srv ->
-      let conn = connect (Server.port srv) in
+      let conn = connect srv in
       let body = {|{"kind":"count","minsup":0.003}|} in
       let one = Http.render_request ~meth:"POST" ~target:"/query" body in
       (* both requests in a single write: the server must answer both,
@@ -470,7 +505,7 @@ let test_wire_errors_and_endpoints () =
     ~config:{ default_cfg with Server.port = 0 }
     (table2_engine ())
     (fun srv ->
-      let conn = connect (Server.port srv) in
+      let conn = connect srv in
       let h = request conn ~meth:"GET" ~target:"/healthz" "" in
       check Alcotest.int "healthz" 200 h.Http.status;
       check Alcotest.string "healthz verdict" "ok" (json_str h "state");
@@ -491,16 +526,15 @@ let test_wire_errors_and_endpoints () =
         (metric_value m.Http.resp_body "olar_http_requests_total" > 0.0);
       disconnect conn;
       (* a malformed request closes the connection after the 400 *)
-      let conn = connect (Server.port srv) in
+      let conn = connect srv in
       send_all conn "BLAH\r\n\r\n";
       let resp = recv_response conn in
       check Alcotest.int "malformed HTTP is 400" 400 resp.Http.status;
-      let chunk = Bytes.create 64 in
       let eof =
-        match Unix.read conn.fd chunk 0 64 with
-        | 0 -> true
-        | _ -> false
-        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+        match Client.recv conn with
+        | Error "connection closed before response headers" -> true
+        | Error e -> e = Unix.error_message Unix.ECONNRESET
+        | Ok _ -> false
       in
       check Alcotest.bool "connection closed after 400" true eof;
       disconnect conn)
@@ -521,8 +555,7 @@ let test_overload_sheds_with_429 () =
     ~domains:2
     (table2_engine ())
     (fun srv ->
-      let port = Server.port srv in
-      let probe = connect port in
+      let probe = connect srv in
       let expected_digest =
         let r = post_query probe {|{"kind":"count","minsup":0.003}|} in
         check Alcotest.int "probe succeeds" 200 r.Http.status;
@@ -532,7 +565,7 @@ let test_overload_sheds_with_429 () =
       let ok = Atomic.make 0 and shed = Atomic.make 0 in
       let failures = Atomic.make 0 in
       let worker () =
-        let conn = connect port in
+        let conn = connect srv in
         for _ = 1 to per_client do
           let r = post_query conn {|{"kind":"count","minsup":0.003}|} in
           match r.Http.status with
@@ -554,7 +587,7 @@ let test_overload_sheds_with_429 () =
       check Alcotest.bool "the flood produced 429 sheds" true
         (Atomic.get shed > 0);
       check Alcotest.bool "some requests were served" true (Atomic.get ok > 0);
-      let conn = connect port in
+      let conn = connect srv in
       let m = request conn ~meth:"GET" ~target:"/metrics" "" in
       disconnect conn;
       let scraped_shed =
@@ -597,10 +630,14 @@ let test_head_requests () =
     ~config:{ default_cfg with Server.port = 0 }
     (table2_engine ())
     (fun srv ->
-      let conn = connect (Server.port srv) in
+      (* a raw socket: the subject is the bytes, which a client that
+         parses responses would hide *)
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd
+        (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
       List.iter
         (fun target ->
-          send_all conn
+          Client.write_all fd
             (Http.render_request ~meth:"HEAD" ~target ""
             ^ Http.render_request ~meth:"GET" ~target:"/healthz" "");
           let chunk = Bytes.create 4096 in
@@ -612,7 +649,7 @@ let test_head_requests () =
                && String.sub s (String.length s - 2) 2 = "}\n"
             then s
             else
-              match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
+              match Unix.read fd chunk 0 (Bytes.length chunk) with
               | 0 -> Alcotest.failf "server closed during HEAD %s" target
               | n ->
                 Buffer.add_subbytes b chunk 0 n;
@@ -652,7 +689,7 @@ let test_head_requests () =
               (head_end + used)
           | _ -> Alcotest.failf "GET did not parse after HEAD %s" target)
         [ "/healthz"; "/metrics"; "/statusz" ];
-      disconnect conn)
+      Unix.close fd)
 
 let json_float resp name =
   match Option.bind (json_field resp name) Jsonx.number with
@@ -669,7 +706,7 @@ let test_phase_attribution_and_statusz () =
     ~domains:2
     (table2_engine ())
     (fun srv ->
-      let conn = connect (Server.port srv) in
+      let conn = connect srv in
       let n = 6 in
       let ids = ref [] and totals = ref 0.0 in
       for _ = 1 to n do
@@ -782,7 +819,7 @@ let test_trace_sampling () =
     ~config:{ default_cfg with Server.port = 0; trace_sample = 1 }
     ~domains:2 engine
     (fun srv ->
-      let conn = connect (Server.port srv) in
+      let conn = connect srv in
       for _ = 1 to n do
         let r = post_query conn {|{"kind":"count","minsup":0.003}|} in
         check Alcotest.int "traced query ok" 200 r.Http.status
@@ -830,7 +867,7 @@ let test_deadline_sheds_with_503 () =
     ~config:{ default_cfg with Server.port = 0; deadline_s = 1e-7 }
     (table2_engine ())
     (fun srv ->
-      let conn = connect (Server.port srv) in
+      let conn = connect srv in
       let n = 10 in
       let sheds = ref 0 in
       for _ = 1 to n do
@@ -852,7 +889,6 @@ let test_deadline_sheds_with_503 () =
 (* ------------------------------------------------------------------ *)
 
 module Health = Olar_net.Health
-module Client = Olar_net.Client
 
 let reading ?(window_s = 60.0) ?(executed = 1000) ?(shed = 0) ?(errors_5xx = 0)
     ?(exec_p99_s = nan) () =
@@ -1095,20 +1131,26 @@ let with_fake_server response f =
       Unix.close srv)
     (fun () -> f (Printf.sprintf "http://127.0.0.1:%d" port))
 
-(* The peer promises 100 body bytes, delivers 10 and half-closes: the
-   client must answer Error, not a silently short Ok body the caller
-   would misparse downstream. *)
+(* The peer promises more body bytes than it delivers and half-closes:
+   the client must answer Error, not a silently short Ok body the
+   caller would misparse downstream. A Content-Length far beyond
+   memory is the same error: the client allocates as bytes arrive. *)
 let test_client_truncated_body () =
-  let response =
-    "HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\n0123456789"
-  in
-  with_fake_server response (fun url ->
-      match Client.get ~url "/statusz" with
-      | Ok (status, body) ->
-        Alcotest.failf "truncated body accepted: %d %S" status body
-      | Error e ->
-        check Alcotest.string "truncation is named precisely"
-          "truncated body (got 10 of 100 bytes)" e)
+  List.iter
+    (fun promised ->
+      let response =
+        Printf.sprintf "HTTP/1.1 200 OK\r\ncontent-length: %d\r\n\r\n0123456789"
+          promised
+      in
+      with_fake_server response (fun url ->
+          match Client.get ~url "/statusz" with
+          | Ok (status, body) ->
+            Alcotest.failf "truncated body accepted: %d %S" status body
+          | Error e ->
+            check Alcotest.string "truncation is named precisely"
+              (Printf.sprintf "truncated body (got 10 of %d bytes)" promised)
+              e))
+    [ 100; 1_000_000_000_000_000 ]
 
 (* An intact short body with a matching Content-Length still parses. *)
 let test_client_exact_body_still_ok () =
@@ -1118,6 +1160,86 @@ let test_client_exact_body_still_ok () =
       | Ok (200, body) -> check Alcotest.string "body intact" "ok" body
       | Ok (s, _) -> Alcotest.failf "unexpected status %d" s
       | Error e -> Alcotest.failf "exact body rejected: %s" e)
+
+(* No Content-Length: the same rule as [Http.parse_response] — an
+   empty body — not a read to EOF. *)
+let test_client_no_content_length () =
+  let response = "HTTP/1.1 200 OK\r\nx-a: 1\r\n\r\nnot a body" in
+  with_fake_server response (fun url ->
+      match Client.get ~url "/healthz" with
+      | Ok (status, body) ->
+        check Alcotest.int "status" 200 status;
+        check Alcotest.string "empty body" "" body
+      | Error e -> Alcotest.failf "response rejected: %s" e)
+
+(* One keep-alive connection runs several exchanges. One answer (every
+   itemset at the primary threshold) is large enough to arrive over
+   many reads, and a count follows it on the same connection, so no
+   byte may be lost or left behind between answers. Each digest equals
+   serial [Pool.exec] on the same engine. *)
+let test_client_keep_alive_exchanges () =
+  let params =
+    Olar_datagen.Params.make
+      ~over:
+        {
+          Olar_datagen.Params.default with
+          num_items = 200;
+          num_potential = 300;
+          seed = 23;
+        }
+      ~avg_transaction_size:10.0 ~avg_itemset_size:4.0 ~num_transactions:2000
+      ()
+  in
+  let engine =
+    Engine.at_threshold (Olar_datagen.Quest.generate params)
+      ~primary_support:0.005
+  in
+  let bodies =
+    [
+      {|{"kind":"count","minsup":0.005}|};
+      {|{"kind":"find","minsup":0.005}|};
+      {|{"kind":"count","minsup":0.01}|};
+      {|{"kind":"support_for_k_itemsets","k":50}|};
+      {|{"kind":"find","minsup":0.005}|};
+      {|{"kind":"essential_rules","minsup":0.01,"minconf":0.5}|};
+    ]
+  in
+  let answers =
+    Server.with_server
+      ~config:{ default_cfg with Server.port = 0 }
+      ~domains:2 engine
+      (fun srv ->
+        let conn = connect srv in
+        let answers =
+          List.map
+            (fun body ->
+              let r = post_query conn body in
+              check Alcotest.int ("status of " ^ body) 200 r.Http.status;
+              (body, json_str r "digest", String.length r.Http.resp_body))
+            bodies
+        in
+        disconnect conn;
+        answers)
+  in
+  let largest = List.fold_left (fun m (_, _, n) -> max m n) 0 answers in
+  check Alcotest.bool
+    (Printf.sprintf "one answer spans many reads (%d bytes)" largest)
+    true (largest > 256 * 1024);
+  let session = Session.create ~budget_bytes:0 engine in
+  List.iter
+    (fun (body, digest, _) ->
+      let req =
+        match Result.bind (Record.key_of_json_line body) Replay.request_of_record with
+        | Ok req -> req
+        | Error e -> Alcotest.failf "bad key %s: %s" body e
+      in
+      let serial =
+        match Replay.digest_response (Olar_serve.Pool.exec session req) with
+        | Some d -> Fnv.to_hex d
+        | None -> Alcotest.failf "serial execution of %s failed" body
+      in
+      check Alcotest.string ("digest of " ^ body) serial digest)
+    answers
 
 (* Push a payload much larger than a deliberately tiny send buffer
    through [write_all] while the peer drains slowly: every short write
@@ -1239,6 +1361,10 @@ let suites =
         case "pipelined requests" test_pipelined_requests;
         case "byte-at-a-time trickle" test_trickled_bytes;
         case "response round trip" test_response_round_trip;
+        case "response without content-length"
+          test_response_without_content_length;
+        case "response head parser and head_end"
+          test_response_head_and_head_end;
       ] );
     Helpers.qsuite "net.http.props"
       [
@@ -1281,6 +1407,10 @@ let suites =
         case "truncated body is an error" test_client_truncated_body;
         case "exact content-length still parses"
           test_client_exact_body_still_ok;
+        case "no content-length means an empty body"
+          test_client_no_content_length;
+        case "keep-alive exchanges match serial Pool.exec"
+          test_client_keep_alive_exchanges;
         case "short writes resume through a tiny SO_SNDBUF"
           test_client_short_writes;
         case "blocked send times out with a stable error"
